@@ -1,6 +1,5 @@
 """Multilevel Gibbs samplers for Bayesian regression of linear mixed models."""
 
-from ._kernels import BACKEND
 from .errors import (
     ConfigError,
     DimensionError,

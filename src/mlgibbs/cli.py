@@ -6,7 +6,6 @@ Example:
 """
 
 import argparse
-import os
 import sys
 
 from .errors import MlgibbsError
@@ -20,20 +19,8 @@ from .harness import (
     run_experiment,
     synthesize_targets,
 )
-from .gibbs import MixedModelSpec
 from .rng import RandomStream
 from .solvers import SolverConfig
-
-
-def _maybe_set_threads():
-    n = os.environ.get("MLGIBBS_THREADS")
-    if n:
-        try:
-            import numba
-
-            numba.set_num_threads(int(n))
-        except Exception:
-            pass
 
 
 def _add_run_args(p):
@@ -113,11 +100,12 @@ def cmd_run(args):
             y = load_targets(cfg.targets_path)
         else:
             _, y = synthesize_targets(X, synth, cfg.coef_variance, cfg.noise_variance)
-        lo, hi = cfg.coarse_range
-        hierarchy = build_hierarchy(X, cfg.n_fixed, (lo, hi), cfg.levels, lv_stream)
-        spec = MixedModelSpec(cfg.n_fixed, X.n_cols - cfg.n_fixed)
+        hierarchy = build_hierarchy(
+            X, cfg.n_fixed, cfg.coarse_range_for(X.n_cols), cfg.levels
+        )
         rep = level_variance_report(
-            hierarchy, y, spec, SolverConfig(tol=cfg.cg_tol), lv_stream
+            hierarchy, y, cfg.model_spec(X.n_cols), SolverConfig(tol=cfg.cg_tol),
+            lv_stream,
         )
         level_variance_csv(rep, args.level_variance)
         print(f"level variances written to {args.level_variance}")
@@ -125,7 +113,6 @@ def cmd_run(args):
 
 
 def main(argv=None):
-    _maybe_set_threads()
     parser = argparse.ArgumentParser(prog="mlgibbs")
     sub = parser.add_subparsers(dest="command", required=True)
     run_p = sub.add_parser("run", help="run a cross-validated sampling experiment")

@@ -24,7 +24,7 @@ from .multilevel import (
 )
 from .rng import RandomStream
 from .solvers import SolverConfig
-from .sparse import SparseMatrix, from_dense, from_triplets, row_subset, spmv
+from .sparse import from_dense, from_triplets, row_subset, spmv
 from . import gibbs as _gibbs
 from .multilevel import _level_specs
 
@@ -211,6 +211,29 @@ class ExperimentConfig:
             if getattr(self, p) <= 0:
                 raise ConfigError(f"prior parameter {p} must be positive")
 
+    def coarse_range_for(self, n_cols):
+        """The configured coarsest-width range, or [0.6 w, w] with
+        w = n_cols // 3 when none is set."""
+        lo, hi = self.coarse_range
+        if lo is None:
+            hi = max(1, n_cols // 3)
+            lo = max(1, int(hi * 0.6))
+        return lo, hi
+
+    def model_spec(self, n_cols):
+        """The mixed-model spec of an n_cols-wide matrix under this
+        config's column split and priors."""
+        return MixedModelSpec(
+            n_fixed=self.n_fixed,
+            n_random=n_cols - self.n_fixed,
+            alpha_e=self.alpha_e,
+            beta_e=self.beta_e,
+            alpha_v=self.alpha_v,
+            beta_v=self.beta_v,
+            alpha_u=self.alpha_u,
+            beta_u=self.beta_u,
+        )
+
 
 @dataclass
 class FoldMetrics:
@@ -296,12 +319,9 @@ def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
     t0 = time.perf_counter()
     hierarchy = None
     if config.sampler != "gibbs":
-        lo, hi = config.coarse_range
-        if lo is None:
-            hi = max(1, X_train.n_cols // 3)
-            lo = max(1, int(hi * 0.6))
         hierarchy = build_hierarchy(
-            X_train, config.n_fixed, (lo, hi), config.levels, stream
+            X_train, config.n_fixed, config.coarse_range_for(X_train.n_cols),
+            config.levels,
         )
     setup_time = time.perf_counter() - t0
 
@@ -329,7 +349,7 @@ def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
                 costs.s2 = estimate_level_variances(
                     hierarchy, y_train, spec, solver_cfg, stream, pilot=config.pilot
                 )
-                totals = allocate_variance(costs, H_post, pilot=config.pilot)
+                totals = allocate_variance(costs, H_post)
             schedule = _consecutive_from_totals(totals, config.burn_in)
         if config.sampler == "ml":
             acc = run_ml_gibbs(
@@ -381,16 +401,7 @@ def run_experiment(config, X=None, y=None, truth_coef=None):
             truth_coef, y = synthesize_targets(
                 X, synth_stream, config.coef_variance, config.noise_variance
             )
-    spec = MixedModelSpec(
-        n_fixed=config.n_fixed,
-        n_random=X.n_cols - config.n_fixed,
-        alpha_e=config.alpha_e,
-        beta_e=config.beta_e,
-        alpha_v=config.alpha_v,
-        beta_v=config.beta_v,
-        alpha_u=config.alpha_u,
-        beta_u=config.beta_u,
-    )
+    spec = config.model_spec(X.n_cols)
     splits = kfold_split(X.n_rows, config.folds, fold_split_stream)
     folds = []
     for i, ((train, test), fs) in enumerate(zip(splits, fold_streams)):

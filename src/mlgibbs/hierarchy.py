@@ -10,9 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import leader_follower_kernel
 from .errors import DimensionError, HierarchyError, InvalidAssignment
-from .sparse import SparseMatrix, _from_arrays
+from .sparse import _from_arrays
 
 
 @dataclass(frozen=True)
@@ -60,18 +59,56 @@ class LevelHierarchy:
         return v
 
 
-def leader_follower(X, threshold, stream=None):
+def leader_follower(X, threshold):
     """One-pass leader-follower clustering of the columns of X.
 
     Columns are visited in index order; a column joins the first leader
     within cosine distance `threshold`, else becomes a new leader. Zero
-    columns get singleton clusters. The stream argument is accepted for
-    interface symmetry but the pass is fully deterministic.
+    columns get singleton clusters. The pass is fully deterministic.
     """
     col_ptr, row_idx, vals = X.transpose_csc()
     assignment = np.empty(X.n_cols, dtype=np.int64)
-    leader_follower_kernel(col_ptr, row_idx, vals, X.n_rows, float(threshold), assignment)
+    _leader_follower_csc(col_ptr, row_idx, vals, X.n_rows, float(threshold), assignment)
     return assignment
+
+
+def _leader_follower_csc(col_ptr, row_idx, vals, n_rows, threshold, assignment):
+    """Leader-follower pass over CSC arrays; fills `assignment` and returns
+    the number of clusters."""
+    # scipy may store int32 indices; numpy slices and gathers fastest with
+    # Python ints and intp indices
+    col_ptr = col_ptr.tolist()
+    row_idx = row_idx.astype(np.intp)
+    n_cols = len(col_ptr) - 1
+    leaders = np.zeros((0, n_rows))
+    leader_norms = np.zeros(0)
+    leader_cluster = []
+    n_clusters = 0
+    merge_all = threshold >= 1.0
+    for j in range(n_cols):
+        lo, hi = col_ptr[j], col_ptr[j + 1]
+        col = np.zeros(n_rows)
+        col[row_idx[lo:hi]] = vals[lo:hi]
+        norm = np.sqrt(np.dot(col, col))
+        if norm == 0.0:
+            assignment[j] = n_clusters
+            n_clusters += 1
+            continue
+        found = -1
+        if leaders.shape[0]:
+            dist = 1.0 - (leaders @ col) / (norm * leader_norms)
+            ok = np.nonzero(dist <= threshold)[0] if not merge_all else np.array([0])
+            if ok.size:
+                found = int(ok[0])
+        if found >= 0:
+            assignment[j] = leader_cluster[found]
+        else:
+            leaders = np.vstack([leaders, col[None, :]])
+            leader_norms = np.append(leader_norms, norm)
+            leader_cluster.append(n_clusters)
+            assignment[j] = n_clusters
+            n_clusters += 1
+    return n_clusters
 
 
 def _cluster_grouped(X, group_boundary, threshold):
@@ -86,7 +123,7 @@ def _cluster_grouped(X, group_boundary, threshold):
         sub_ptr = col_ptr[lo : hi + 1] - col_ptr[lo]
         s = slice(col_ptr[lo], col_ptr[hi])
         sub = np.empty(hi - lo, dtype=np.int64)
-        n = leader_follower_kernel(
+        n = _leader_follower_csc(
             sub_ptr, row_idx[s], vals[s], X.n_rows, float(threshold), sub
         )
         if lo == 0 and group_boundary > 0:
@@ -173,7 +210,7 @@ def _bisect_threshold(X, group_boundary, band, max_steps=20):
     return best
 
 
-def build_hierarchy(X, group_boundary, coarse_size_range, max_levels, stream=None):
+def build_hierarchy(X, group_boundary, coarse_size_range, max_levels):
     """Recursively cluster and coarsen until the coarsest width is inside
     `coarse_size_range` or `max_levels` matrices exist.
 

@@ -156,7 +156,7 @@ def allocate_cost(costs, H_total):
     return [int(w / total * H_total) for w in inv]
 
 
-def allocate_variance(costs, H_total, pilot=50):
+def allocate_variance(costs, H_total):
     """H_l = floor(sqrt(s2_l/C_l) / sum_k sqrt(s2_k/C_k) * H_total)."""
     if costs.s2 is None:
         raise ConfigError("allocate_variance needs pilot variances")
@@ -335,7 +335,9 @@ def run_ml_cs(
                         X_c, y, state.tau, lam_c, e1, e2_c, config,
                         precond=precond_c, x0=x0_c,
                     )
-                    acc.cg_iters[lvl] += report_c.iterations
+                    # the coupled solve is a level l-1 system: count it there
+                    acc.cg_iters[lvl - 1] += report_c.iterations
+                    acc.cg_solves[lvl - 1] += 1
                     d = b - prolong(P_l, b_c)
                 else:
                     d = b - prolong(P_l, restrict(P_l, b))

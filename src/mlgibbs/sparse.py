@@ -1,49 +1,62 @@
 """CSR sparse matrix storage and matrix-free operators.
 
-The matrix is immutable after construction; `spmv`, `spmv_t` and
-`gram_apply` never materialize the transpose or the Gram matrix.
+A `SparseMatrix` holds a scipy CSR matrix and its transpose in CSR form,
+both built once at construction; the matrix is immutable afterwards.
+`spmv` and `spmv_t` are the two CSR products, and `gram_apply` never
+materializes the Gram matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.sparse as sp
 
-from ._kernels import spmv_kernel, spmv_t_kernel
 from .errors import DimensionError, DomainError
 
 
-@dataclass(frozen=True)
 class SparseMatrix:
-    """Compressed sparse row matrix with sorted, unique column indices per row."""
+    """CSR matrix with sorted, unique column indices per row, plus its
+    cached transpose (which is the matrix in CSC form)."""
 
-    n_rows: int
-    n_cols: int
-    row_offsets: np.ndarray  # int64, length n_rows+1
-    col_indices: np.ndarray  # int64
-    values: np.ndarray  # float64
+    __slots__ = ("csr", "csr_t")
+
+    def __init__(self, csr):
+        self.csr = csr
+        self.csr_t = csr.T.tocsr()
+
+    @property
+    def n_rows(self):
+        return self.csr.shape[0]
+
+    @property
+    def n_cols(self):
+        return self.csr.shape[1]
+
+    @property
+    def row_offsets(self):
+        return self.csr.indptr
+
+    @property
+    def col_indices(self):
+        return self.csr.indices
+
+    @property
+    def values(self):
+        return self.csr.data
 
     def nnz(self):
-        return self.values.size
+        return self.csr.data.size
 
     @property
     def shape(self):
-        return (self.n_rows, self.n_cols)
+        return self.csr.shape
 
     def to_dense(self):
-        out = np.zeros((self.n_rows, self.n_cols))
-        row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        out[row_ids, self.col_indices] = self.values
-        return out
+        return self.csr.toarray()
 
     def transpose_csc(self):
         """Column-major view: (col_ptr, row_idx, vals) such that column j of
         this matrix is rows row_idx[col_ptr[j]:col_ptr[j+1]]."""
-        order = np.argsort(self.col_indices, kind="stable")
-        row_ids = np.repeat(np.arange(self.n_rows), np.diff(self.row_offsets))
-        counts = np.bincount(self.col_indices, minlength=self.n_cols)
-        col_ptr = np.zeros(self.n_cols + 1, dtype=np.int64)
-        np.cumsum(counts, out=col_ptr[1:])
-        return col_ptr, row_ids[order], self.values[order]
+        t = self.csr_t
+        return t.indptr, t.indices, t.data
 
 
 def from_triplets(n_rows, n_cols, entries):
@@ -52,14 +65,6 @@ def from_triplets(n_rows, n_cols, entries):
     Duplicate (row, col) pairs are summed. Raises IndexError on any
     out-of-range index.
     """
-    if len(entries) == 0:
-        return SparseMatrix(
-            n_rows,
-            n_cols,
-            np.zeros(n_rows + 1, dtype=np.int64),
-            np.zeros(0, dtype=np.int64),
-            np.zeros(0),
-        )
     rows = np.asarray([e[0] for e in entries], dtype=np.int64)
     cols = np.asarray([e[1] for e in entries], dtype=np.int64)
     vals = np.asarray([e[2] for e in entries], dtype=np.float64)
@@ -74,44 +79,30 @@ def from_triplets(n_rows, n_cols, entries):
 
 
 def _from_arrays(n_rows, n_cols, rows, cols, vals):
-    """CSR assembly from parallel index/value arrays; duplicates summed."""
-    key = rows * n_cols + cols
+    """CSR assembly from parallel index/value arrays; duplicates summed in
+    their input order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    key = rows * n_cols + np.asarray(cols, dtype=np.int64)
     order = np.argsort(key, kind="stable")
     key = key[order]
     vals = vals[order]
     uniq, inverse = np.unique(key, return_inverse=True)
     summed = np.bincount(inverse, weights=vals)
-    rows_u = (uniq // n_cols).astype(np.int64)
-    cols_u = (uniq % n_cols).astype(np.int64)
     row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows_u, minlength=n_rows), out=row_offsets[1:])
-    return SparseMatrix(n_rows, n_cols, row_offsets, cols_u, summed)
+    np.cumsum(np.bincount(uniq // n_cols, minlength=n_rows), out=row_offsets[1:])
+    csr = sp.csr_matrix((summed, uniq % n_cols, row_offsets), shape=(n_rows, n_cols))
+    return SparseMatrix(csr)
 
 
 def from_dense(dense):
     dense = np.asarray(dense, dtype=np.float64)
     rows, cols = np.nonzero(dense)
-    return _from_arrays(
-        dense.shape[0],
-        dense.shape[1],
-        rows.astype(np.int64),
-        cols.astype(np.int64),
-        dense[rows, cols],
-    )
+    return _from_arrays(dense.shape[0], dense.shape[1], rows, cols, dense[rows, cols])
 
 
 def row_subset(A, rows):
     """New SparseMatrix containing the given rows of A, in the given order."""
-    rows = np.asarray(rows, dtype=np.int64)
-    counts = np.diff(A.row_offsets)[rows]
-    row_offsets = np.zeros(rows.size + 1, dtype=np.int64)
-    np.cumsum(counts, out=row_offsets[1:])
-    idx = np.concatenate(
-        [np.arange(A.row_offsets[r], A.row_offsets[r + 1]) for r in rows]
-    ) if rows.size else np.zeros(0, dtype=np.int64)
-    return SparseMatrix(
-        rows.size, A.n_cols, row_offsets, A.col_indices[idx], A.values[idx]
-    )
+    return SparseMatrix(A.csr[np.asarray(rows, dtype=np.int64)])
 
 
 def spmv(A, x):
@@ -119,17 +110,15 @@ def spmv(A, x):
     x = np.asarray(x, dtype=np.float64)
     if x.size != A.n_cols:
         raise DimensionError(f"spmv: len(x)={x.size}, n_cols={A.n_cols}")
-    out = np.zeros(A.n_rows)
-    return spmv_kernel(A.row_offsets, A.col_indices, A.values, x, out)
+    return A.csr @ x
 
 
 def spmv_t(A, x):
-    """A.T @ x without materializing the transpose."""
+    """A.T @ x through the cached CSR transpose."""
     x = np.asarray(x, dtype=np.float64)
     if x.size != A.n_rows:
         raise DimensionError(f"spmv_t: len(x)={x.size}, n_rows={A.n_rows}")
-    out = np.zeros(A.n_cols)
-    return spmv_t_kernel(A.row_offsets, A.col_indices, A.values, x, out)
+    return A.csr_t @ x
 
 
 def gram_apply(A, diag_shift, x):

@@ -349,6 +349,49 @@ class TestCli:
         assert code == 0
         assert lv.exists()
 
+    def test_level_variance_default_coarse_range(self, tmp_path, capsys):
+        data = self._write_data(tmp_path)
+        lv = tmp_path / "lv.csv"
+        code = main([
+            "run", "--data", str(data), "--sampler", "ml", "--levels", "2",
+            "--samples", "60", "--burnin", "10", "--folds", "2", "--seed", "3",
+            "--level-variance", str(lv),
+        ])
+        assert code == 0
+        assert lv.read_text().startswith("quantity,level")
+
+    def test_config_priors_reach_spec(self, tmp_path, capsys, monkeypatch):
+        import mlgibbs.cli as cli_mod
+        import mlgibbs.harness as harness_mod
+
+        specs = []
+        real_fold = harness_mod.run_fold
+        real_report = cli_mod.level_variance_report
+
+        def fold(X, y, truth, config, spec, *args):
+            specs.append(spec)
+            return real_fold(X, y, truth, config, spec, *args)
+
+        def report(hierarchy, y, spec, *args, **kwargs):
+            specs.append(spec)
+            return real_report(hierarchy, y, spec, *args, **kwargs)
+
+        monkeypatch.setattr(harness_mod, "run_fold", fold)
+        monkeypatch.setattr(cli_mod, "level_variance_report", report)
+        data = self._write_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"beta_v": 7.5, "beta_u": 2.5, "alpha_e": 3.0}))
+        code = main([
+            "run", "--data", str(data), "--config", str(cfg), "--sampler", "ml",
+            "--levels", "2", "--coarse-range", "6,20", "--samples", "60",
+            "--burnin", "10", "--folds", "2", "--seed", "3",
+            "--level-variance", str(tmp_path / "lv.csv"),
+        ])
+        assert code == 0
+        assert len(specs) == 3  # two folds, then the level-variance report
+        for spec in specs:
+            assert (spec.beta_v, spec.beta_u, spec.alpha_e) == (7.5, 2.5, 3.0)
+
     def test_level_variance_needs_ml(self, tmp_path, capsys):
         data = self._write_data(tmp_path)
         code = main([

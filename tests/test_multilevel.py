@@ -307,3 +307,32 @@ class TestMultilevelRuns:
         # same chain up to solver rounding at tol 1e-8
         scale = np.linalg.norm(est_plain)
         assert np.linalg.norm(est_plain - est_pre) < 1e-3 * scale
+
+    def test_cg_accounting_matches_solves(self, rng, monkeypatch):
+        # every CG solve of the chain, coupled level l-1 solves included, is
+        # counted once at the level whose width its system has
+        import mlgibbs.gibbs as gibbs_mod
+
+        seen = []
+        real = gibbs_mod.cg_solve
+
+        def recording(apply_A, rhs, **kwargs):
+            x, report = real(apply_A, rhs, **kwargs)
+            seen.append((np.asarray(rhs).size, report.iterations))
+            return x, report
+
+        monkeypatch.setattr(gibbs_mod, "cg_solve", recording)
+        X = cluster_sparse(rng, 60, 12, 6, 6)
+        y = rng.standard_normal(60)
+        h = build_hierarchy(X, 0, (5, 15), 3)
+        assert h.n_levels == 3 and len(set(h.widths())) == 3
+        schedule = make_schedule("consecutive", h.n_levels, 60, 12)
+        acc = run_ml_cs(
+            h, y, MixedModelSpec(0, X.n_cols), schedule, SolverConfig(),
+            RandomStream(3), coupling="solves",
+        )
+        for l, width in enumerate(h.widths()):
+            at_width = [it for w, it in seen if w == width]
+            assert acc.cg_solves[l] == len(at_width)
+            assert acc.cg_iters[l] == sum(at_width)
+        assert acc.cg_solves.sum() == len(seen)
