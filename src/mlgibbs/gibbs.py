@@ -11,7 +11,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import EstimatorError
-from .solvers import SolverConfig, cg_solve
+from .hierarchy import LevelHierarchy
+from .solvers import cg_solve
 from .sparse import gram_apply, spmv, spmv_t
 
 
@@ -55,10 +56,6 @@ class ChainResult:
     trace: list = field(default_factory=list)  # (tau, lam_v, lam_u) per iteration
     total_cg_iters: int = 0
     n_solves: int = 0
-
-    @property
-    def mean_cg_iters(self):
-        return self.total_cg_iters / self.n_solves if self.n_solves else 0.0
 
 
 def assemble_lambda(spec, lam_v, lam_u):
@@ -133,29 +130,19 @@ def draw_coefficient(X, y, state, spec, config, stream, precond=None):
 def run_chain(X, y, spec, H, H_burn_in, config, stream, trace=False):
     """Full noise-injection chain: prior-initialized first draw, then H-1
     alternations of hyperparameter and coefficient draws; the first
-    H_burn_in samples are excluded from sum_b."""
+    H_burn_in samples are excluded from sum_b. This is the pooled
+    multilevel chain on the one-level hierarchy [X]."""
+    from .multilevel import make_schedule, run_pooled  # it imports this module
+
     if not H > H_burn_in >= 0:
         raise ValueError(f"need H > H_burn_in >= 0, got {H}, {H_burn_in}")
-    if config is None:
-        config = SolverConfig()
-    tau, lam_v, lam_u = init_hyperparams(spec, stream)
-    state = GibbsState(b=None, tau=tau, lam_v=lam_v, lam_u=lam_u)
-    result = ChainResult(sum_b=np.zeros(X.n_cols), kept_count=0)
-    for h in range(1, H + 1):
-        if h > 1:
-            state.tau, state.lam_v, state.lam_u = sample_hyperparams(
-                state, X, y, spec, stream
-            )
-        b, report = draw_coefficient(X, y, state, spec, config, stream)
-        state.b = b
-        result.total_cg_iters += report.iterations
-        result.n_solves += 1
-        if trace:
-            result.trace.append((state.tau, state.lam_v, state.lam_u))
-        if h > H_burn_in:
-            result.sum_b += b
-            result.kept_count += 1
-    return result
+    schedule = make_schedule("consecutive", 1, H, H_burn_in)
+    hierarchy = LevelHierarchy([X], [], [spec.n_fixed])
+    acc = run_pooled(hierarchy, y, spec, schedule, config, stream, trace=trace)
+    return ChainResult(
+        acc.level_sums[0], int(acc.counts[0]), acc.trace or [],
+        int(acc.cg_iters[0]), int(acc.cg_solves[0]),
+    )
 
 
 def predict_mean(result, X_eval):

@@ -9,8 +9,8 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import ConfigError, MlgibbsError, ParseError
-from .gibbs import MixedModelSpec, predict_mean, run_chain
-from .hierarchy import build_hierarchy, prolong, restrict
+from .gibbs import MixedModelSpec
+from .hierarchy import LevelHierarchy, build_hierarchy
 from .multilevel import (
     LevelCost,
     allocate_cost,
@@ -18,18 +18,19 @@ from .multilevel import (
     estimate_level_variances,
     finalize_estimate,
     make_schedule,
+    probe_levels,
     run_ml_cs,
     run_ml_gibbs,
+    run_pooled,
     SampleSchedule,
 )
 from .rng import RandomStream
 from .solvers import SolverConfig
 from .sparse import from_dense, from_triplets, row_subset, spmv
-from . import gibbs as _gibbs
-from .multilevel import _level_specs
 
 
 SAMPLER_KINDS = ("gibbs", "ml", "mlcss", "mlcsp")
+COUPLINGS = {"mlcss": "solves", "mlcsp": "projection"}
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +221,9 @@ class ExperimentConfig:
             lo = max(1, int(hi * 0.6))
         return lo, hi
 
+    def solver_config(self):
+        return SolverConfig(tol=self.cg_tol, max_iter=self.cg_max_iter)
+
     def model_spec(self, n_cols):
         """The mixed-model spec of an n_cols-wide matrix under this
         config's column split and priors."""
@@ -247,6 +251,7 @@ class FoldMetrics:
     level_nnz: list
     mean_cg_iters: list
     error: str = None
+    cg_unconverged: list = field(default_factory=list)  # per level
 
 
 @dataclass
@@ -262,6 +267,11 @@ class MetricsReport:
     setup_time: float = None
     exec_time: float = None
 
+    @property
+    def cg_unconverged(self):
+        """CG solves, over all folds and levels, that stopped at max_iter."""
+        return sum(sum(f.cg_unconverged) for f in self.folds)
+
     def to_json(self):
         return json.dumps(
             {
@@ -272,6 +282,7 @@ class MetricsReport:
                 "mae": {"mean": self.mae_mean, "std": self.mae_std},
                 "setup_time": self.setup_time,
                 "exec_time": self.exec_time,
+                "cg_unconverged": self.cg_unconverged,
             },
             indent=2,
         )
@@ -285,6 +296,7 @@ class MetricsReport:
             f"rho         {self.rho_mean:.3f} ({self.rho_std:.3f})",
             f"RMSE        {self.rmse_mean:.3e} ({self.rmse_std:.3e})",
             f"MAE         {self.mae_mean:.3e} ({self.mae_std:.3e})",
+            f"CG unconv.  {self.cg_unconverged}",
         ]
         return "\n".join(lines)
 
@@ -300,25 +312,45 @@ class MetricsReport:
         }
 
 
-def _consecutive_from_totals(totals, burn_in):
-    visits = [(l, h) for l, h in enumerate(totals) if h > 0]
+def _fold_schedule(config, hierarchy, y, spec, solver_cfg, stream):
+    """The fold's level schedule; the variance allocation first runs a
+    pilot chain per level. The single-level sampler ignores the schedule
+    and allocation settings."""
+    if config.sampler == "gibbs":
+        return make_schedule("consecutive", 1, config.samples, config.burn_in)
+    if config.allocation == "equal":
+        return make_schedule(
+            config.schedule, hierarchy.n_levels, config.samples, config.burn_in
+        )
+    H_post = config.samples - config.burn_in
+    costs = LevelCost(C=[m.nnz() for m in hierarchy.matrices])
+    if config.allocation == "cost":
+        totals = allocate_cost(costs, H_post)
+    else:
+        costs.s2 = estimate_level_variances(
+            hierarchy, y, spec, solver_cfg, stream, pilot=config.pilot
+        )
+        totals = allocate_variance(costs, H_post)
     return SampleSchedule(
-        visits=visits, totals=np.asarray(totals, dtype=np.int64), burn_in=burn_in
+        visits=[(l, h) for l, h in enumerate(totals) if h > 0],
+        totals=np.asarray(totals, dtype=np.int64), burn_in=config.burn_in,
     )
 
 
 def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
     """One CV fold: hierarchy build on training rows, sampling, metrics on
     held-out rows. truth_coef is the noiseless synthetic coefficient vector
-    or None when real targets are used."""
+    or None when real targets are used. The single-level sampler is the
+    pooled chain on the one-level hierarchy [X_train]."""
     X_train = row_subset(X, train)
     X_test = row_subset(X, test)
     y_train = y[train]
     truth = spmv(X_test, truth_coef) if truth_coef is not None else y[test]
-    solver_cfg = SolverConfig(tol=config.cg_tol, max_iter=config.cg_max_iter)
+    solver_cfg = config.solver_config()
     t0 = time.perf_counter()
-    hierarchy = None
-    if config.sampler != "gibbs":
+    if config.sampler == "gibbs":
+        hierarchy = LevelHierarchy([X_train], [], [config.n_fixed])
+    else:
         hierarchy = build_hierarchy(
             X_train, config.n_fixed, config.coarse_range_for(X_train.n_cols),
             config.levels,
@@ -326,46 +358,17 @@ def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
     setup_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    if config.sampler == "gibbs":
-        result = run_chain(
-            X_train, y_train, spec, config.samples, config.burn_in, solver_cfg, stream
-        )
-        pred = predict_mean(result, X_test)
-        widths = [X_train.n_cols]
-        nnzs = [X_train.nnz()]
-        cg_means = [result.mean_cg_iters]
+    schedule = _fold_schedule(config, hierarchy, y_train, spec, solver_cfg, stream)
+    args = (hierarchy, y_train, spec, schedule, solver_cfg, stream)
+    if config.sampler in COUPLINGS:
+        coupling = COUPLINGS[config.sampler]
+        acc = run_ml_cs(*args, coupling=coupling, preconditioned=config.preconditioned)
     else:
-        n_levels = hierarchy.n_levels
-        if config.allocation == "equal":
-            schedule = make_schedule(
-                config.schedule, n_levels, config.samples, config.burn_in
-            )
-        else:
-            H_post = config.samples - config.burn_in
-            costs = LevelCost(C=[m.nnz() for m in hierarchy.matrices])
-            if config.allocation == "cost":
-                totals = allocate_cost(costs, H_post)
-            else:
-                costs.s2 = estimate_level_variances(
-                    hierarchy, y_train, spec, solver_cfg, stream, pilot=config.pilot
-                )
-                totals = allocate_variance(costs, H_post)
-            schedule = _consecutive_from_totals(totals, config.burn_in)
-        if config.sampler == "ml":
-            acc = run_ml_gibbs(
-                hierarchy, y_train, spec, schedule, solver_cfg, stream,
-                preconditioned=config.preconditioned,
-            )
-        else:
-            coupling = "solves" if config.sampler == "mlcss" else "projection"
-            acc = run_ml_cs(
-                hierarchy, y_train, spec, schedule, solver_cfg, stream,
-                coupling=coupling, preconditioned=config.preconditioned,
-            )
-        pred = finalize_estimate(acc, hierarchy, X_test)
-        widths = hierarchy.widths()
-        nnzs = [m.nnz() for m in hierarchy.matrices]
-        cg_means = [float(v) for v in acc.mean_cg_iters()]
+        # `gibbs` is the pooled chain itself, `ml` the same chain under the
+        # multilevel sampler's name
+        pooled = run_pooled if config.sampler == "gibbs" else run_ml_gibbs
+        acc = pooled(*args, preconditioned=config.preconditioned)
+    pred = finalize_estimate(acc, hierarchy, X_test)
     exec_time = time.perf_counter() - t1
     rho, rmse, mae = metrics(pred, truth)
     return FoldMetrics(
@@ -375,20 +378,22 @@ def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
         mae=mae,
         setup_time=setup_time,
         exec_time=exec_time,
-        level_widths=widths,
-        level_nnz=nnzs,
-        mean_cg_iters=cg_means,
+        level_widths=hierarchy.widths(),
+        level_nnz=[m.nnz() for m in hierarchy.matrices],
+        mean_cg_iters=[float(v) for v in acc.mean_cg_iters()],
+        cg_unconverged=acc.cg_unconverged.tolist(),
     )
 
 
-def run_experiment(config, X=None, y=None, truth_coef=None):
-    """Full cross-validated experiment. X/y may be passed in memory (tests)
-    or loaded from config.data_path."""
+def prepare_experiment(config, X=None, y=None, truth_coef=None):
+    """Validate the config and gather its experiment's inputs: X, y and
+    the noiseless coefficients (None for real targets), each loaded or
+    synthesized unless given, the model spec, and the seed's child
+    streams: 0 for synthesis, 1 for the fold split, then one per fold."""
     config.validate()
     if X is None:
         X = load_matrix(config.data_path, config.data_format)
-    root = RandomStream(config.seed)
-    synth_stream, fold_split_stream, *fold_streams = root.split(2 + config.folds)
+    streams = RandomStream(config.seed).split(2 + config.folds)
     if y is None:
         if config.targets_path:
             y = load_targets(config.targets_path)
@@ -399,9 +404,16 @@ def run_experiment(config, X=None, y=None, truth_coef=None):
             truth_coef = None
         else:
             truth_coef, y = synthesize_targets(
-                X, synth_stream, config.coef_variance, config.noise_variance
+                X, streams[0], config.coef_variance, config.noise_variance
             )
-    spec = config.model_spec(X.n_cols)
+    return X, y, truth_coef, config.model_spec(X.n_cols), streams
+
+
+def run_experiment(config, X=None, y=None, truth_coef=None):
+    """Full cross-validated experiment. X/y may be passed in memory (tests)
+    or loaded from config.data_path."""
+    X, y, truth_coef, spec, streams = prepare_experiment(config, X, y, truth_coef)
+    _, fold_split_stream, *fold_streams = streams
     splits = kfold_split(X.n_rows, config.folds, fold_split_stream)
     folds = []
     for i, ((train, test), fs) in enumerate(zip(splits, fold_streams)):
@@ -446,60 +458,15 @@ def level_variance_report(
         probe_indices = np.arange(min(10, hierarchy.finest.n_rows))
     probe_indices = np.asarray(probe_indices, dtype=np.int64)
     X_probe = row_subset(hierarchy.finest, probe_indices)
-    specs = _level_specs(hierarchy, spec)
-    n_levels = hierarchy.n_levels
-    level_vars = []
-    diff_vars = {c: [] for c in couplings}
-    streams = stream.split(n_levels)
-    for l in range(n_levels):
-        sub = streams[l]
-        X_l, spec_l = hierarchy.matrices[l], specs[l]
-        tau, lam_v, lam_u = _gibbs.init_hyperparams(spec_l, sub)
-        state = _gibbs.GibbsState(b=None, tau=tau, lam_v=lam_v, lam_u=lam_u)
-        ys = []
-        diffs = {c: [] for c in couplings}
-        for h in range(burn + n_draws):
-            if h > 0:
-                state.tau, state.lam_v, state.lam_u = _gibbs.sample_hyperparams(
-                    state, X_l, y, spec_l, sub
-                )
-            lam = _gibbs.assemble_lambda(spec_l, state.lam_v, state.lam_u)
-            e1, e2 = _gibbs.draw_noise(X_l, state.tau, lam, config, sub)
-            b, _ = _gibbs.solve_noise_system(
-                X_l, y, state.tau, lam, e1, e2, config, x0=state.b
-            )
-            if h >= burn:
-                ys.append(
-                    spmv(X_probe, hierarchy.interpolate_to_finest(b, l))
-                )
-                if l >= 1:
-                    P_l = hierarchy.prolongators[l - 1]
-                    if "solves" in couplings:
-                        X_c, spec_c = hierarchy.matrices[l - 1], specs[l - 1]
-                        lam_c = _gibbs.assemble_lambda(
-                            spec_c, state.lam_v, state.lam_u
-                        )
-                        b_c, _ = _gibbs.solve_noise_system(
-                            X_c, y, state.tau, lam_c, e1, restrict(P_l, e2),
-                            config,
-                            x0=restrict(P_l, state.b) if state.b is not None else None,
-                        )
-                        d = b - prolong(P_l, b_c)
-                        diffs["solves"].append(
-                            spmv(X_probe, hierarchy.interpolate_to_finest(d, l))
-                        )
-                    if "projection" in couplings:
-                        d = b - prolong(P_l, restrict(P_l, b))
-                        diffs["projection"].append(
-                            spmv(X_probe, hierarchy.interpolate_to_finest(d, l))
-                        )
-            state.b = b
-        level_vars.append(np.var(np.array(ys), axis=0, ddof=1))
-        if l >= 1:
-            for c in couplings:
-                diff_vars[c].append(np.var(np.array(diffs[c]), axis=0, ddof=1))
-    out = {"probe_indices": probe_indices, "levels": level_vars}
-    out.update(diff_vars)
+    probes = probe_levels(
+        hierarchy, y, spec, config, stream, X_probe, n_draws, burn, couplings
+    )
+    out = {
+        "probe_indices": probe_indices,
+        "levels": [np.var(ys, axis=0, ddof=1) for ys, _ in probes],
+    }
+    for c in couplings:
+        out[c] = [np.var(diffs[c], axis=0, ddof=1) for _, diffs in probes[1:]]
     return out
 
 

@@ -4,8 +4,9 @@ and per-level sample allocation."""
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -13,7 +14,6 @@ from .errors import ConfigError, EstimatorError
 from .gibbs import (
     GibbsState,
     assemble_lambda,
-    draw_coefficient,
     draw_noise,
     init_hyperparams,
     sample_hyperparams,
@@ -60,10 +60,17 @@ class EstimatorAccumulator:
     scheduled: np.ndarray  # H_l per level, for finalize validation
     cg_iters: np.ndarray = None
     cg_solves: np.ndarray = None
+    cg_unconverged: np.ndarray = None  # solves that stopped at max_iter
+    trace: list = None  # (tau, lam_v, lam_u) per draw, when asked for
 
     def mean_cg_iters(self):
         with np.errstate(invalid="ignore", divide="ignore"):
             return np.where(self.cg_solves > 0, self.cg_iters / np.maximum(self.cg_solves, 1), 0.0)
+
+    def count_solve(self, level, report):
+        self.cg_iters[level] += report.iterations
+        self.cg_solves[level] += 1
+        self.cg_unconverged[level] += not report.converged
 
 
 def make_schedule(kind, levels, H_total, burn_in, level_change_burn=0):
@@ -188,17 +195,21 @@ def _move_state(hierarchy, b, cur, target):
 
 
 def _visit_plan(schedule):
-    plan = []
-    if schedule.burn_in > 0:
-        plan.append((0, schedule.burn_in, True))
-    plan.extend((lvl, cnt, False) for lvl, cnt in schedule.visits if cnt > 0)
-    return plan
+    """(level, count, keep) entries: the burn-in at the coarsest level, then
+    the visits, each split where the first level_change_burn draws after a
+    level change are dropped."""
+    plan = [(0, schedule.burn_in, False)] if schedule.burn_in > 0 else []
+    for lvl, cnt in (v for v in schedule.visits if v[1] > 0):
+        drop = min(schedule.level_change_burn, cnt) if plan and plan[-1][0] != lvl else 0
+        plan += [(lvl, drop, False), (lvl, cnt - drop, True)]
+    return [entry for entry in plan if entry[1] > 0]
 
 
-def _new_accumulator(hierarchy, schedule, mode):
+def _new_accumulator(hierarchy, schedule=None, mode="pooled"):
     n = hierarchy.n_levels
     scheduled = np.zeros(n, dtype=np.int64)
-    scheduled[: len(schedule.totals)] += schedule.totals
+    if schedule is not None:
+        scheduled[: len(schedule.totals)] += schedule.totals
     return EstimatorAccumulator(
         mode=mode,
         level_sums=[np.zeros(m.n_cols) for m in hierarchy.matrices],
@@ -206,64 +217,152 @@ def _new_accumulator(hierarchy, schedule, mode):
         scheduled=scheduled,
         cg_iters=np.zeros(n, dtype=np.int64),
         cg_solves=np.zeros(n, dtype=np.int64),
+        cg_unconverged=np.zeros(n, dtype=np.int64),
     )
 
 
-def _maybe_precond(hierarchy, level, spec_l, state, config, preconditioned):
+@dataclass
+class Chain:
+    """The chain as an estimator hook sees it. state holds the
+    hyperparameters of the draw in hand; its b is still the previous
+    sample."""
+
+    hierarchy: object
+    y: np.ndarray
+    specs: list
+    config: SolverConfig
+    acc: EstimatorAccumulator
+    preconditioned: bool = False
+    state: GibbsState = None
+
+
+def _maybe_precond(chain, level, lam):
     # the coarsest level has no coarser space; plain CG there
-    if not preconditioned or level < 1:
+    if not chain.preconditioned or level < 1:
         return None
-    lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
+    config = chain.config
     return build_two_level(
-        hierarchy,
+        chain.hierarchy,
         level,
-        lam / state.tau,
+        lam / chain.state.tau,
         dense_cap=config.precond_cap,
         smooth_steps=config.smooth_steps,
     )
 
 
-def run_ml_gibbs(hierarchy, y, spec, schedule, config, stream, preconditioned=False):
-    """Pooled multilevel chain: one Markov chain that visits levels per the
-    schedule, interpolating/restricting b across level changes and pooling
-    all kept samples into per-level sums."""
-    if config is None:
-        config = SolverConfig()
-    specs = _level_specs(hierarchy, spec)
-    acc = _new_accumulator(hierarchy, schedule, "pooled")
-    state = None
-    cur = None
-    first_draw = True
-    for lvl, count, is_burn in _visit_plan(schedule):
-        if state is None:
-            cur = lvl
-            tau, lam_v, lam_u = init_hyperparams(specs[lvl], stream)
-            state = GibbsState(b=None, tau=tau, lam_v=lam_v, lam_u=lam_u)
-            skip = 0
+def _solve(chain, level, lam, e1, e2, x0):
+    """One noise-injection solve at `level`, counted there."""
+    b, report = solve_noise_system(
+        chain.hierarchy.matrices[level], chain.y, chain.state.tau, lam, e1, e2,
+        chain.config, precond=_maybe_precond(chain, level, lam), x0=x0,
+    )
+    chain.acc.count_solve(level, report)
+    return b
+
+
+def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, preconditioned=False):
+    """The one Markov chain every sampler runs, along a visit plan of
+    (level, count, keep) entries; returns acc.
+
+    The hyperparameters start from the prior at the first level visited,
+    and b is interpolated or restricted across level changes. Each draw
+    updates the hyperparameters (all but the very first draw), draws the
+    noise and does one ridge solve, which acc counts at its level. Only
+    kept draws reach the estimator hook, on_kept(chain, level, b, e1, e2).
+    """
+    chain = Chain(hierarchy, y, _level_specs(hierarchy, spec), config or SolverConfig(),
+                  acc, preconditioned)
+    for lvl, count, keep in plan:
+        X_l, spec_l = hierarchy.matrices[lvl], chain.specs[lvl]
+        if chain.state is None:
+            chain.state = state = GibbsState(None, *init_hyperparams(spec_l, stream))
         elif lvl != cur:
             state.b = _move_state(hierarchy, state.b, cur, lvl)
-            cur = lvl
-            skip = schedule.level_change_burn
-        else:
-            skip = 0
-        X_l, spec_l = hierarchy.matrices[lvl], specs[lvl]
+        cur = lvl
         for _ in range(count):
-            if not first_draw:
+            if state.b is not None:
                 state.tau, state.lam_v, state.lam_u = sample_hyperparams(
                     state, X_l, y, spec_l, stream
                 )
-            precond = _maybe_precond(hierarchy, lvl, spec_l, state, config, preconditioned)
-            b, report = draw_coefficient(X_l, y, state, spec_l, config, stream, precond)
+            lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
+            e1, e2 = draw_noise(X_l, state.tau, lam, chain.config, stream)
+            b = _solve(chain, lvl, lam, e1, e2, state.b)
+            if acc.trace is not None:
+                acc.trace.append((state.tau, state.lam_v, state.lam_u))
+            if keep:
+                on_kept(chain, lvl, b, e1, e2)
             state.b = b
-            first_draw = False
-            acc.cg_iters[lvl] += report.iterations
-            acc.cg_solves[lvl] += 1
-            if is_burn or skip > 0:
-                skip = max(0, skip - 1)
-                continue
-            acc.level_sums[lvl] += b
-            acc.counts[lvl] += 1
     return acc
+
+
+def _coupled_difference(chain, lvl, b, e1, e2, coupling):
+    """d_l = b_l - P_l b_{l-1}. coupling="solves" re-solves the level l-1
+    system with the draw's tau, lam_v, lam_u and e1 and with e2
+    restricted, and counts that solve at level l-1; coupling="projection"
+    takes b_{l-1} = P_l^T b_l without a second solve."""
+    P_l = chain.hierarchy.prolongators[lvl - 1]
+    if coupling == "projection":
+        return b - prolong(P_l, restrict(P_l, b))
+    state = chain.state
+    lam_c = assemble_lambda(chain.specs[lvl - 1], state.lam_v, state.lam_u)
+    x0_c = restrict(P_l, state.b) if state.b is not None else None
+    return b - prolong(P_l, _solve(chain, lvl - 1, lam_c, e1, restrict(P_l, e2), x0_c))
+
+
+def _pooled(chain, lvl, b, e1, e2):
+    """Estimator hook: pool the kept samples per level."""
+    chain.acc.level_sums[lvl] += b
+    chain.acc.counts[lvl] += 1
+
+
+def _telescoping(coupling, chain, lvl, b, e1, e2):
+    """Estimator hook: per-level sums of the kept level-0 samples and of the
+    coupled differences d_l above."""
+    d = b if lvl == 0 else _coupled_difference(chain, lvl, b, e1, e2, coupling)
+    _pooled(chain, lvl, d, e1, e2)
+
+
+def probe_levels(hierarchy, y, spec, config, stream, X_probe, n_draws, burn, couplings=()):
+    """One chain per level, on stream.split(n_levels): burn discarded draws,
+    then n_draws probed by X_probe. Returns per level the (n_draws, rows)
+    array of predicted observations and {coupling: array of differences}."""
+    if not set(couplings) <= {"solves", "projection"}:
+        raise ConfigError(f"unknown coupling in {couplings!r}")
+    out = []
+    for l, sub in enumerate(stream.split(hierarchy.n_levels)):
+        ys, diffs = [], {c: [] for c in couplings}
+
+        def probe(chain, lvl, b, e1, e2):
+            # estimator hook: X_probe times the kept sample and, above level
+            # 0, times each coupling's difference, interpolated to the finest
+            def at(v):
+                return spmv(X_probe, hierarchy.interpolate_to_finest(v, lvl))
+
+            ys.append(at(b))
+            if lvl >= 1:
+                for c in couplings:
+                    diffs[c].append(at(_coupled_difference(chain, lvl, b, e1, e2, c)))
+
+        plan = [(l, burn, False), (l, n_draws, True)]
+        run_levels(hierarchy, y, spec, plan, config, sub, probe, _new_accumulator(hierarchy))
+        out.append((np.array(ys), {c: np.array(v) for c, v in diffs.items()}))
+    return out
+
+
+def run_pooled(hierarchy, y, spec, schedule, config, stream, preconditioned=False, trace=False):
+    """Pooled chain: one Markov chain that visits levels per the schedule,
+    interpolating/restricting b across level changes and pooling all kept
+    samples into per-level sums. With trace, acc.trace lists the
+    (tau, lam_v, lam_u) of every draw, discarded ones included."""
+    acc, plan = _new_accumulator(hierarchy, schedule, "pooled"), _visit_plan(schedule)
+    acc.trace = [] if trace else None
+    return run_levels(hierarchy, y, spec, plan, config, stream, _pooled, acc, preconditioned)
+
+
+def run_ml_gibbs(hierarchy, y, spec, schedule, config, stream, preconditioned=False):
+    """Pooled multilevel chain: run_pooled under the name of the `ml`
+    sampler, which the one-level `gibbs` sampler does not run under."""
+    return run_pooled(hierarchy, y, spec, schedule, config, stream, preconditioned)
 
 
 def run_ml_cs(
@@ -282,75 +381,14 @@ def run_ml_cs(
     coupling="solves" re-solves the noise-injection system on level l-1
     with the same tau, lam_v, lam_u and e1 and with e2 restricted, and
     stores d_l = b_l - P_l b_{l-1}; coupling="projection" stores
-    d_l = b_l - P_l P_l^T b_l without a second solve.
+    d_l = b_l - P_l P_l^T b_l without a second solve. Discarded draws make
+    no coupled solve.
     """
     if coupling not in ("solves", "projection"):
         raise ConfigError(f"unknown coupling {coupling!r}")
-    if config is None:
-        config = SolverConfig()
-    specs = _level_specs(hierarchy, spec)
-    acc = _new_accumulator(hierarchy, schedule, "telescoping")
-    state = None
-    cur = None
-    first_draw = True
-    for lvl, count, is_burn in _visit_plan(schedule):
-        if state is None:
-            cur = lvl
-            tau, lam_v, lam_u = init_hyperparams(specs[lvl], stream)
-            state = GibbsState(b=None, tau=tau, lam_v=lam_v, lam_u=lam_u)
-            skip = 0
-        elif lvl != cur:
-            state.b = _move_state(hierarchy, state.b, cur, lvl)
-            cur = lvl
-            skip = schedule.level_change_burn
-        else:
-            skip = 0
-        X_l, spec_l = hierarchy.matrices[lvl], specs[lvl]
-        for _ in range(count):
-            if not first_draw:
-                state.tau, state.lam_v, state.lam_u = sample_hyperparams(
-                    state, X_l, y, spec_l, stream
-                )
-            precond = _maybe_precond(hierarchy, lvl, spec_l, state, config, preconditioned)
-            if lvl == 0:
-                b, report = draw_coefficient(X_l, y, state, spec_l, config, stream, precond)
-                d = b
-            else:
-                P_l = hierarchy.prolongators[lvl - 1]
-                lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
-                e1, e2 = draw_noise(X_l, state.tau, lam, config, stream)
-                x0 = state.b
-                b, report = solve_noise_system(
-                    X_l, y, state.tau, lam, e1, e2, config, precond=precond, x0=x0
-                )
-                if coupling == "solves":
-                    X_c, spec_c = hierarchy.matrices[lvl - 1], specs[lvl - 1]
-                    lam_c = assemble_lambda(spec_c, state.lam_v, state.lam_u)
-                    e2_c = restrict(P_l, e2)
-                    x0_c = restrict(P_l, x0) if x0 is not None else None
-                    precond_c = _maybe_precond(
-                        hierarchy, lvl - 1, spec_c, state, config, preconditioned
-                    )
-                    b_c, report_c = solve_noise_system(
-                        X_c, y, state.tau, lam_c, e1, e2_c, config,
-                        precond=precond_c, x0=x0_c,
-                    )
-                    # the coupled solve is a level l-1 system: count it there
-                    acc.cg_iters[lvl - 1] += report_c.iterations
-                    acc.cg_solves[lvl - 1] += 1
-                    d = b - prolong(P_l, b_c)
-                else:
-                    d = b - prolong(P_l, restrict(P_l, b))
-            state.b = b
-            first_draw = False
-            acc.cg_iters[lvl] += report.iterations
-            acc.cg_solves[lvl] += 1
-            if is_burn or skip > 0:
-                skip = max(0, skip - 1)
-                continue
-            acc.level_sums[lvl] += d
-            acc.counts[lvl] += 1
-    return acc
+    acc, plan = _new_accumulator(hierarchy, schedule, "telescoping"), _visit_plan(schedule)
+    hook = partial(_telescoping, coupling)
+    return run_levels(hierarchy, y, spec, plan, config, stream, hook, acc, preconditioned)
 
 
 def finalize_estimate(acc, hierarchy, X_eval):
@@ -377,24 +415,5 @@ def finalize_estimate(acc, hierarchy, X_eval):
 def estimate_level_variances(hierarchy, y, spec, config, stream, pilot=50):
     """Pilot chains per level: s2_l is the sample variance (over pilot
     draws) of the mean predicted observation on that level."""
-    s2 = []
-    streams = stream.split(hierarchy.n_levels)
-    for l, sub in enumerate(streams):
-        specs = _level_specs(hierarchy, spec)
-        X_l, spec_l = hierarchy.matrices[l], specs[l]
-        tau, lam_v, lam_u = init_hyperparams(spec_l, sub)
-        state = GibbsState(b=None, tau=tau, lam_v=lam_v, lam_u=lam_u)
-        vals = []
-        for h in range(pilot):
-            if h > 0:
-                state.tau, state.lam_v, state.lam_u = sample_hyperparams(
-                    state, X_l, y, spec_l, sub
-                )
-            b, _ = draw_coefficient(X_l, y, state, spec_l, config, sub)
-            state.b = b
-            y_pred = spmv(
-                hierarchy.finest, hierarchy.interpolate_to_finest(b, l)
-            )
-            vals.append(float(np.mean(y_pred)))
-        s2.append(float(np.var(vals, ddof=1)))
-    return s2
+    probes = probe_levels(hierarchy, y, spec, config, stream, hierarchy.finest, pilot, 0)
+    return [float(np.var([float(np.mean(v)) for v in ys], ddof=1)) for ys, _ in probes]

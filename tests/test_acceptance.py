@@ -171,6 +171,28 @@ def test_criterion_05_single_level_degeneracy():
         assert time.perf_counter() - t0 < 60.0
 
 
+def test_criterion_05_reference_values():
+    """Criterion 5's single-level chain against figures recorded from the
+    hand-written single-level loop that run_chain had before it became a
+    wrapper of the pooled chain: the squared norm and the index-weighted
+    sum of sum_b and of the predictions."""
+    X = cluster_sparse(np.random.default_rng(6), 200, 10, 5, 20, amp=5.0)
+    _, y = synthesize_targets(X, RandomStream(7))
+    base = run_chain(X, y, MixedModelSpec(0, X.n_cols), 2200, 200, SolverConfig(), RandomStream(8))
+
+    def summary(v):
+        return (float(v @ v), float(v @ np.arange(1, v.size + 1)))
+
+    assert (base.kept_count, base.n_solves, base.total_cg_iters) == (2000, 2200, 29565)
+    np.testing.assert_allclose(
+        summary(base.sum_b), (229646160.38374966, -1517795.264473191), rtol=1e-12, atol=0
+    )
+    np.testing.assert_allclose(
+        summary(predict_mean(base, X)), (130895.3850760436, -28188.70411493777),
+        rtol=1e-12, atol=0,
+    )
+
+
 def test_criterion_06_identity_prolongator_cancellation():
     with criterion(6, "P = I with coupling=solves gives exactly zero stored differences"):
         rng = np.random.default_rng(9)

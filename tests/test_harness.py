@@ -281,6 +281,23 @@ class TestRunExperiment:
         assert "RMSE" in text and "sampler" in text
 
 
+    def test_unconverged_solves_reported(self):
+        X = small_experiment_matrix()
+        base = dict(samples=60, burn_in=10, folds=2, seed=0, levels=2,
+                    coarse_range=(6, 20))
+        rep = run_experiment(ExperimentConfig(sampler="gibbs", cg_max_iter=1, **base), X=X)
+        # one CG iteration converges none of the 60 solves per fold
+        assert [f.cg_unconverged for f in rep.folds] == [[60], [60]]
+        rep = run_experiment(ExperimentConfig(sampler="ml", cg_max_iter=1, **base), X=X)
+        # consecutive schedule: burn-in plus 25 draws at level 0, 25 at level 1
+        assert [f.cg_unconverged for f in rep.folds] == [[35, 25], [35, 25]]
+        assert json.loads(rep.to_json())["cg_unconverged"] == 120
+        assert "CG unconv.  120" in rep.to_text()
+        rep = run_experiment(ExperimentConfig(sampler="ml", **base), X=X)
+        assert [f.cg_unconverged for f in rep.folds] == [[0, 0], [0, 0]]
+        assert json.loads(rep.to_json())["cg_unconverged"] == 0
+
+
 class TestLevelVarianceReport:
     def test_identity_hierarchy_zero_difference(self, rng):
         from mlgibbs import build_prolongator
@@ -297,6 +314,17 @@ class TestLevelVarianceReport:
         )
         assert np.allclose(rep["solves"][0], 0.0, atol=1e-18)
         assert np.allclose(rep["projection"][0], 0.0, atol=1e-18)
+
+    def test_unknown_coupling(self, rng):
+        from mlgibbs import MixedModelSpec, SolverConfig, build_hierarchy
+
+        X = cluster_sparse(rng, 30, 6, 4, 5)
+        h = build_hierarchy(X, 0, (4, 10), 2)
+        with pytest.raises(ConfigError):
+            level_variance_report(
+                h, np.zeros(30), MixedModelSpec(0, X.n_cols), SolverConfig(),
+                RandomStream(2), n_draws=5, burn=0, couplings=("swap",),
+            )
 
     def test_csv_output(self, rng, tmp_path):
         X = cluster_sparse(rng, 30, 6, 4, 5)
@@ -391,6 +419,47 @@ class TestCli:
         assert len(specs) == 3  # two folds, then the level-variance report
         for spec in specs:
             assert (spec.beta_v, spec.beta_u, spec.alpha_e) == (7.5, 2.5, 3.0)
+
+    def test_config_file_values_kept(self, tmp_path, capsys):
+        data = self._write_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "samples": 60, "levels": 2, "n_fixed": 3, "sampler": "ml",
+            "cg_max_iter": 7, "folds": 2, "coarse_range": [6, 20],
+        }))
+        report = tmp_path / "rep.json"
+        code = main(["run", "--data", str(data), "--config", str(cfg),
+                     "--burnin", "15", "--report", str(report)])
+        assert code == 0
+        parsed = json.loads(report.read_text())["config"]
+        # no flag given: the file's values, not the flags' defaults
+        assert (parsed["samples"], parsed["levels"], parsed["n_fixed"]) == (60, 2, 3)
+        assert (parsed["sampler"], parsed["cg_max_iter"], parsed["folds"]) == ("ml", 7, 2)
+        assert parsed["coarse_range"] == [6, 20]
+        # a flag given overrides the file; fields in neither keep their defaults
+        assert parsed["burn_in"] == 15
+        assert (parsed["seed"], parsed["cg_tol"], parsed["preconditioned"]) == (0, 1e-8, False)
+
+    def test_level_variance_solver_config(self, tmp_path, capsys, monkeypatch):
+        import mlgibbs.cli as cli_mod
+
+        configs = []
+        real_report = cli_mod.level_variance_report
+
+        def report(hierarchy, y, spec, config, *args, **kwargs):
+            configs.append(config)
+            return real_report(hierarchy, y, spec, config, *args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "level_variance_report", report)
+        data = self._write_data(tmp_path)
+        code = main([
+            "run", "--data", str(data), "--sampler", "ml", "--levels", "2",
+            "--coarse-range", "6,20", "--samples", "60", "--burnin", "10",
+            "--folds", "2", "--cg-tol", "1e-6", "--cg-max-iter", "50",
+            "--level-variance", str(tmp_path / "lv.csv"),
+        ])
+        assert code == 0
+        assert [(c.tol, c.max_iter) for c in configs] == [(1e-6, 50)]
 
     def test_level_variance_needs_ml(self, tmp_path, capsys):
         data = self._write_data(tmp_path)

@@ -310,7 +310,8 @@ class TestMultilevelRuns:
 
     def test_cg_accounting_matches_solves(self, rng, monkeypatch):
         # every CG solve of the chain, coupled level l-1 solves included, is
-        # counted once at the level whose width its system has
+        # counted once at the level whose width its system has; a draw the
+        # chain discards after a level change makes no coupled solve
         import mlgibbs.gibbs as gibbs_mod
 
         seen = []
@@ -326,13 +327,35 @@ class TestMultilevelRuns:
         y = rng.standard_normal(60)
         h = build_hierarchy(X, 0, (5, 15), 3)
         assert h.n_levels == 3 and len(set(h.widths())) == 3
-        schedule = make_schedule("consecutive", h.n_levels, 60, 12)
-        acc = run_ml_cs(
-            h, y, MixedModelSpec(0, X.n_cols), schedule, SolverConfig(),
-            RandomStream(3), coupling="solves",
-        )
-        for l, width in enumerate(h.widths()):
-            at_width = [it for w, it in seen if w == width]
-            assert acc.cg_solves[l] == len(at_width)
-            assert acc.cg_iters[l] == sum(at_width)
-        assert acc.cg_solves.sum() == len(seen)
+        for kind, H, level_change_burn in (("consecutive", 60, 0), ("vcycle:10", 100, 3)):
+            seen.clear()
+            schedule = make_schedule(kind, h.n_levels, H, 12, level_change_burn)
+            acc = run_ml_cs(
+                h, y, MixedModelSpec(0, X.n_cols), schedule, SolverConfig(),
+                RandomStream(3), coupling="solves",
+            )
+            for l, width in enumerate(h.widths()):
+                at_width = [it for w, it in seen if w == width]
+                assert acc.cg_solves[l] == len(at_width)
+                assert acc.cg_iters[l] == sum(at_width)
+            assert acc.cg_solves.sum() == len(seen)
+            # one solve per draw, one coupled solve per kept draw above level 0
+            assert len(seen) == H + acc.counts[1:].sum()
+            # the V-cycle changes level eight times, dropping 3 draws each
+            assert acc.counts.sum() == H - 12 - (24 if level_change_burn else 0)
+
+    def test_unconverged_solves_counted(self, rng):
+        X = cluster_sparse(rng, 60, 12, 6, 6)
+        y = rng.standard_normal(60)
+        h = build_hierarchy(X, 0, (5, 15), 3)
+        spec = MixedModelSpec(0, X.n_cols)
+        schedule = make_schedule("vcycle:10", h.n_levels, 100, 12)
+        for coupling in ("solves", "projection"):
+            # one CG iteration converges no solve of these systems
+            acc = run_ml_cs(h, y, spec, schedule, SolverConfig(max_iter=1),
+                            RandomStream(3), coupling=coupling)
+            assert acc.cg_unconverged.tolist() == acc.cg_solves.tolist()
+            acc = run_ml_cs(h, y, spec, schedule, SolverConfig(), RandomStream(3),
+                            coupling=coupling)
+            assert acc.cg_unconverged.tolist() == [0, 0, 0]
+            assert acc.cg_solves.min() > 0
