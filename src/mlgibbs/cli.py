@@ -63,7 +63,10 @@ def _config_from_args(args):
 
 def cmd_run(args):
     cfg = _config_from_args(args)
-    report = run_experiment(cfg)
+    # one load of the inputs serves the experiment and the level variances,
+    # which draw from the seed's child stream 2
+    X, y, truth, spec, streams = prepare_experiment(cfg)
+    report = run_experiment(cfg, X, y, truth)
     print(report.to_text())
     if args.report:
         with open(args.report, "w") as fh:
@@ -73,8 +76,6 @@ def cmd_run(args):
         if cfg.sampler == "gibbs":
             print("--level-variance needs a multilevel sampler", file=sys.stderr)
             return 2
-        # the experiment's inputs, and child stream 2 of its seed
-        X, y, _, spec, streams = prepare_experiment(cfg)
         hierarchy = build_hierarchy(
             X, cfg.n_fixed, cfg.coarse_range_for(X.n_cols), cfg.levels
         )

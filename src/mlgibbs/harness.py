@@ -4,7 +4,7 @@ experiment orchestration."""
 import json
 import time
 import warnings
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -194,6 +194,11 @@ class ExperimentConfig:
     def from_json(cls, path):
         with open(path) as fh:
             raw = json.load(fh)
+        if not isinstance(raw, dict):
+            raise ConfigError(f"{path}: the config must be a JSON object")
+        unknown = sorted(set(raw) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"{path}: unknown config keys: {', '.join(unknown)}")
         cfg = cls(**raw)
         if isinstance(cfg.coarse_range, list):
             cfg.coarse_range = tuple(cfg.coarse_range)

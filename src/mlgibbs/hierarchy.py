@@ -9,6 +9,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import DimensionError, HierarchyError, InvalidAssignment
 from .sparse import _from_arrays
@@ -66,72 +67,75 @@ def leader_follower(X, threshold):
     within cosine distance `threshold`, else becomes a new leader. Zero
     columns get singleton clusters. The pass is fully deterministic.
     """
-    col_ptr, row_idx, vals = X.transpose_csc()
-    assignment = np.empty(X.n_cols, dtype=np.int64)
-    _leader_follower_csc(col_ptr, row_idx, vals, X.n_rows, float(threshold), assignment)
-    return assignment
+    return _leader_follower_pass(_cosine_pairs(X.csr), threshold)[0]
 
 
-def _leader_follower_csc(col_ptr, row_idx, vals, n_rows, threshold, assignment):
-    """Leader-follower pass over CSC arrays; fills `assignment` and returns
-    the number of clusters."""
-    # scipy may store int32 indices; numpy slices and gathers fastest with
-    # Python ints and intp indices
-    col_ptr = col_ptr.tolist()
-    row_idx = row_idx.astype(np.intp)
-    n_cols = len(col_ptr) - 1
-    leaders = np.zeros((0, n_rows))
-    leader_norms = np.zeros(0)
-    leader_cluster = []
+def _cosine_pairs(A):
+    """Cosine-pair table of the columns of the CSR block A: (dist, nonzero).
+
+    `dist` is the strict lower triangle of 1 - a_j.a_i / (|a_j| |a_i|) in
+    CSR form with sorted indices, so row j lists the earlier columns
+    i < j. It holds one entry per pair of columns that share a row (the
+    pattern of A^T A); a pair that shares no row is at distance 1.
+    `nonzero[j]` tells whether column j has a nonzero norm.
+    """
+    gram = A.T @ A
+    norms = np.sqrt(gram.diagonal())
+    dist = sp.tril(gram, k=-1, format="csr")
+    dist.sort_indices()
+    rows = np.repeat(np.arange(A.shape[1]), np.diff(dist.indptr))
+    dist.data = 1.0 - dist.data / (norms[rows] * norms[dist.indices])
+    return dist, norms > 0.0
+
+
+def _leader_follower_pass(pairs, threshold):
+    """Leader-follower pass over a cosine-pair table; returns the
+    assignment and the number of clusters."""
+    dist, nonzero = pairs
+    if threshold >= 1.0:
+        # every nonzero column joins the first one, including those it
+        # shares no row with; zero columns stay singletons
+        opens = ~nonzero
+        first = np.flatnonzero(nonzero)[:1]
+        opens[first] = True
+        assignment = np.cumsum(opens) - 1
+        assignment[nonzero] = assignment[first]
+        return assignment, int(opens.sum())
+    keep = dist.data <= threshold
+    ptr = np.concatenate(([0], np.cumsum(keep)))[dist.indptr].tolist()
+    near = dist.indices[keep].tolist()
+    n_cols = len(ptr) - 1
+    # leader_of[i] is the cluster column i leads, -1 for a follower; a zero
+    # column is near no column, so it leads a singleton cluster
+    leader_of = [-1] * n_cols
+    assignment = [0] * n_cols
     n_clusters = 0
-    merge_all = threshold >= 1.0
     for j in range(n_cols):
-        lo, hi = col_ptr[j], col_ptr[j + 1]
-        col = np.zeros(n_rows)
-        col[row_idx[lo:hi]] = vals[lo:hi]
-        norm = np.sqrt(np.dot(col, col))
-        if norm == 0.0:
-            assignment[j] = n_clusters
-            n_clusters += 1
-            continue
-        found = -1
-        if leaders.shape[0]:
-            dist = 1.0 - (leaders @ col) / (norm * leader_norms)
-            ok = np.nonzero(dist <= threshold)[0] if not merge_all else np.array([0])
-            if ok.size:
-                found = int(ok[0])
-        if found >= 0:
-            assignment[j] = leader_cluster[found]
+        for i in near[ptr[j] : ptr[j + 1]]:
+            c = leader_of[i]
+            if c >= 0:
+                break
         else:
-            leaders = np.vstack([leaders, col[None, :]])
-            leader_norms = np.append(leader_norms, norm)
-            leader_cluster.append(n_clusters)
-            assignment[j] = n_clusters
+            c = leader_of[j] = n_clusters
             n_clusters += 1
-    return n_clusters
+        assignment[j] = c
+    return np.array(assignment, dtype=np.int64), n_clusters
 
 
-def _cluster_grouped(X, group_boundary, threshold):
-    """Cluster fixed and random column blocks independently; cluster ids of
-    the random block are offset past the fixed clusters."""
-    col_ptr, row_idx, vals = X.transpose_csc()
-    assignment = np.empty(X.n_cols, dtype=np.int64)
-    n_fixed_clusters = 0
-    for lo, hi in ((0, group_boundary), (group_boundary, X.n_cols)):
-        if hi <= lo:
-            continue
-        sub_ptr = col_ptr[lo : hi + 1] - col_ptr[lo]
-        s = slice(col_ptr[lo], col_ptr[hi])
-        sub = np.empty(hi - lo, dtype=np.int64)
-        n = _leader_follower_csc(
-            sub_ptr, row_idx[s], vals[s], X.n_rows, float(threshold), sub
-        )
-        if lo == 0 and group_boundary > 0:
-            assignment[lo:hi] = sub
-            n_fixed_clusters = n
-        else:
-            assignment[lo:hi] = sub + n_fixed_clusters
-    return assignment, n_fixed_clusters
+def _block_pairs(X, group_boundary):
+    """Cosine-pair tables of the fixed and the random column block of X."""
+    return [
+        _cosine_pairs(X.csr[:, lo:hi])
+        for lo, hi in ((0, group_boundary), (group_boundary, X.n_cols))
+    ]
+
+
+def _cluster_grouped(blocks, threshold):
+    """Cluster the fixed and random column blocks independently; cluster ids
+    of the random block are offset past the fixed clusters."""
+    fixed, n_fixed_clusters = _leader_follower_pass(blocks[0], threshold)
+    rand, _ = _leader_follower_pass(blocks[1], threshold)
+    return np.concatenate([fixed, rand + n_fixed_clusters]), n_fixed_clusters
 
 
 def build_prolongator(assignment):
@@ -179,15 +183,17 @@ def restrict_diagonal(P, diag_fine):
     return sums / P.cluster_sizes
 
 
-def _bisect_threshold(X, group_boundary, band, max_steps=20):
+def _bisect_threshold(blocks, band, max_steps=20):
     """Find a clustering whose width lands in `band` by bisection on the
-    cosine-distance threshold. Returns (assignment, coarse_boundary, width)
-    of the best clustering found (closest to the band)."""
+    cosine-distance threshold; every pass reads the level's cosine-pair
+    tables `blocks` (see `_block_pairs`). Returns (assignment,
+    coarse_boundary, width) of the best clustering found (closest to the
+    band)."""
     lo_w, hi_w = band
     target = math.sqrt(lo_w * hi_w)
     # threshold 1 merges maximally; if even that stays above the band there
     # is nothing to bisect for
-    assignment, gb = _cluster_grouped(X, group_boundary, 1.0)
+    assignment, gb = _cluster_grouped(blocks, 1.0)
     width = int(assignment.max()) + 1
     if width > hi_w or lo_w <= width <= hi_w:
         return assignment, gb, width
@@ -196,7 +202,7 @@ def _bisect_threshold(X, group_boundary, band, max_steps=20):
     best_err = abs(math.log(width / target))
     for _ in range(max_steps):
         t = 0.5 * (lo_t + hi_t)
-        assignment, gb = _cluster_grouped(X, group_boundary, t)
+        assignment, gb = _cluster_grouped(blocks, t)
         width = int(assignment.max()) + 1
         err = 0.0 if lo_w <= width <= hi_w else abs(math.log(width / target))
         if err < best_err:
@@ -239,7 +245,7 @@ def build_hierarchy(X, group_boundary, coarse_size_range, max_levels):
             band_lo = max(lo, t / 1.3)
             band_hi = min(width - 1, max(band_lo, t * 1.3))
             band = (band_lo, band_hi)
-        assignment, coarse_gb, new_width = _bisect_threshold(cur, gb, band)
+        assignment, coarse_gb, new_width = _bisect_threshold(_block_pairs(cur, gb), band)
         if new_width >= width:
             raise HierarchyError(
                 f"clustering stagnates at width {width}; cannot reach range "

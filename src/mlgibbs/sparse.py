@@ -52,12 +52,6 @@ class SparseMatrix:
     def to_dense(self):
         return self.csr.toarray()
 
-    def transpose_csc(self):
-        """Column-major view: (col_ptr, row_idx, vals) such that column j of
-        this matrix is rows row_idx[col_ptr[j]:col_ptr[j+1]]."""
-        t = self.csr_t
-        return t.indptr, t.indices, t.data
-
 
 def from_triplets(n_rows, n_cols, entries):
     """Build a SparseMatrix from (row, col, value) triplets.

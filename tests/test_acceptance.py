@@ -279,6 +279,13 @@ def test_criterion_09_speedup_direction(benchmark_runs):
         assert m.exec_time < g.exec_time
 
 
+def test_speedup_direction_with_setup(benchmark_runs):
+    # the speed-up must hold with the hierarchy build counted, not only on
+    # exec_time as criterion 9 measures it
+    g, m = benchmark_runs["gibbs"], benchmark_runs["ml"]
+    assert m.setup_time + m.exec_time < g.setup_time + g.exec_time
+
+
 def test_criterion_10_schedule_table():
     with criterion(10, "reference cycle schedules reproduced (exact or within one chunk)"):
         exact = make_schedule("vcycle:10", 3, 2000, 0).totals.tolist()

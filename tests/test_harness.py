@@ -440,6 +440,44 @@ class TestCli:
         assert parsed["burn_in"] == 15
         assert (parsed["seed"], parsed["cg_tol"], parsed["preconditioned"]) == (0, 1e-8, False)
 
+    def test_config_unknown_keys(self, tmp_path, capsys):
+        data = self._write_data(tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"sampels": 60, "burnin": 10, "folds": 2}))
+        code = main(["run", "--data", str(data), "--config", str(cfg)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "burnin" in err and "sampels" in err and "folds" not in err
+
+    def test_config_not_an_object(self, tmp_path, capsys):
+        data = self._write_data(tmp_path)
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps([{"samples": 60}]))
+        code = main(["run", "--data", str(data), "--config", str(cfg)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_level_variance_loads_inputs_once(self, tmp_path, capsys, monkeypatch):
+        import mlgibbs.harness as harness_mod
+
+        loads = []
+        real_load = harness_mod.load_matrix
+
+        def load(*args):
+            loads.append(args)
+            return real_load(*args)
+
+        monkeypatch.setattr(harness_mod, "load_matrix", load)
+        data = self._write_data(tmp_path)
+        code = main([
+            "run", "--data", str(data), "--sampler", "ml", "--levels", "2",
+            "--coarse-range", "6,20", "--samples", "60", "--burnin", "10",
+            "--folds", "2", "--level-variance", str(tmp_path / "lv.csv"),
+        ])
+        assert code == 0
+        assert len(loads) == 1
+
     def test_level_variance_solver_config(self, tmp_path, capsys, monkeypatch):
         import mlgibbs.cli as cli_mod
 

@@ -3,7 +3,7 @@ hierarchy, checked against dense oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from mlgibbs import (
     DimensionError,
@@ -18,6 +18,7 @@ from mlgibbs import (
     prolong,
     restrict,
 )
+import mlgibbs.hierarchy as hierarchy_mod
 from mlgibbs.hierarchy import restrict_diagonal
 from conftest import cluster_sparse, random_sparse
 
@@ -28,6 +29,31 @@ def random_assignment(rng, n, n_clusters):
         [np.arange(n_clusters), rng.integers(0, n_clusters, n - n_clusters)]
     )
     return rng.permutation(a)
+
+
+def dense_leader_follower(D, threshold):
+    """Reference clustering of the columns of the dense matrix D: the
+    leaders are the rows of L, and a nonzero column c joins the first with
+    1 - (L @ c) / (|c| |L|) <= threshold (the first leader when
+    threshold >= 1). Returns the assignment and the number of clusters."""
+    leaders, leader_ids, assignment = [], [], []
+    n_clusters = 0
+    for c in D.T:
+        norm = np.linalg.norm(c)
+        near = []
+        if norm > 0 and leaders:
+            L = np.array(leaders)
+            dist = 1.0 - (L @ c) / (norm * np.linalg.norm(L, axis=1))
+            near = np.flatnonzero(dist <= threshold) if threshold < 1 else [0]
+        if len(near):
+            assignment.append(leader_ids[near[0]])
+            continue
+        if norm > 0:
+            leaders.append(c)
+            leader_ids.append(n_clusters)
+        assignment.append(n_clusters)
+        n_clusters += 1
+    return np.array(assignment, dtype=np.int64), n_clusters
 
 
 class TestLeaderFollower:
@@ -60,6 +86,27 @@ class TestLeaderFollower:
         assert np.all(a >= 0)
         # contiguous cluster ids
         assert set(a.tolist()) == set(range(int(a.max()) + 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_rows=st.integers(1, 12),
+    n_cols=st.integers(1, 25),
+    density=st.floats(0.05, 0.8),
+    threshold=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+)
+def test_leader_follower_matches_dense_reference(seed, n_rows, n_cols, density, threshold):
+    rng = np.random.default_rng(seed)
+    _, dense = random_sparse(rng, n_rows, n_cols, density)
+    dense[:, rng.random(n_cols) < 0.2] = 0.0
+    # a distance within rounding of the threshold may fall either side of
+    # it, depending on the order in which the products are summed
+    norms = np.linalg.norm(dense, axis=0)
+    nz = dense[:, norms > 0] / norms[norms > 0]
+    assume(np.all(np.abs(1.0 - nz.T @ nz - threshold) > 1e-9))
+    expected, _ = dense_leader_follower(dense, threshold)
+    assert np.array_equal(leader_follower(from_dense(dense), threshold), expected)
 
 
 class TestBuildProlongator:
@@ -213,6 +260,28 @@ class TestBuildHierarchy:
             random_clusters = set(P.assignment[gb_fine:].tolist())
             assert fixed_clusters.isdisjoint(random_clusters)
             assert fixed_clusters == set(range(gb_coarse))
+
+    def test_two_blocks_match_dense_reference(self, rng, monkeypatch):
+        X = cluster_sparse(rng, 60, 14, 5, 6)
+        h = build_hierarchy(X, 15, (8, 20), 3)
+
+        # the same bisection, with every pass clustering dense blocks
+        def dense_blocks(X, group_boundary):
+            D = X.to_dense()
+            return D[:, :group_boundary], D[:, group_boundary:]
+
+        def dense_grouped(blocks, threshold):
+            fixed, n_fixed = dense_leader_follower(blocks[0], threshold)
+            rand, _ = dense_leader_follower(blocks[1], threshold)
+            return np.concatenate([fixed, rand + n_fixed]), n_fixed
+
+        monkeypatch.setattr(hierarchy_mod, "_block_pairs", dense_blocks)
+        monkeypatch.setattr(hierarchy_mod, "_cluster_grouped", dense_grouped)
+        ref = build_hierarchy(X, 15, (8, 20), 3)
+        assert h.n_levels == 3 and all(gb > 0 for gb in h.group_boundaries)
+        assert h.group_boundaries == ref.group_boundaries
+        for P, Q in zip(h.prolongators, ref.prolongators):
+            assert np.array_equal(P.assignment, Q.assignment)
 
     def test_prediction_path_identity(self, rng):
         X = cluster_sparse(rng, 50, 10, 4, 6)

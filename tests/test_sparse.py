@@ -158,16 +158,6 @@ def test_row_subset(rng):
     assert empty.shape == (0, 4)
 
 
-def test_transpose_csc_round_trip(rng):
-    A, dense = random_sparse(rng, 7, 5)
-    col_ptr, row_idx, vals = A.transpose_csc()
-    rebuilt = np.zeros((7, 5))
-    for j in range(5):
-        for k in range(col_ptr[j], col_ptr[j + 1]):
-            rebuilt[row_idx[k], j] = vals[k]
-    assert np.array_equal(rebuilt, dense)
-
-
 def test_from_dense_round_trip(rng):
     _, dense = random_sparse(rng, 6, 6)
     assert np.array_equal(from_dense(dense).to_dense(), dense)
