@@ -2,6 +2,8 @@
 experiment orchestration."""
 
 import json
+import numbers
+import os
 import time
 import warnings
 from dataclasses import dataclass, field, fields, asdict
@@ -42,11 +44,13 @@ def load_matrix(path, fmt=None):
     path = str(path)
     if fmt is None:
         fmt = "dense_csv" if path.endswith(".csv") else "matrix_market"
-    if fmt == "matrix_market":
-        return _load_matrix_market(path)
-    if fmt == "dense_csv":
-        return _load_dense_csv(path)
-    raise ConfigError(f"unknown matrix format {fmt!r}")
+    loaders = {"matrix_market": _load_matrix_market, "dense_csv": _load_dense_csv}
+    if fmt not in loaders:
+        raise ConfigError(f"unknown matrix format {fmt!r}")
+    try:
+        return loaders[fmt](path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
 def _load_matrix_market(path):
@@ -112,7 +116,12 @@ def save_matrix_market(path, A):
 
 
 def load_targets(path):
-    return np.loadtxt(path, delimiter=",", ndmin=1)
+    try:
+        return np.loadtxt(path, delimiter=",", ndmin=1)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +173,9 @@ def metrics(pred, truth):
 
 @dataclass
 class ExperimentConfig:
-    data_path: str = None
+    data_path: str | os.PathLike = None
     data_format: str = None
-    targets_path: str = None
+    targets_path: str | os.PathLike = None
     n_fixed: int = 0
     alpha_e: float = 1.0
     beta_e: float = 1.0
@@ -192,8 +201,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, path):
-        with open(path) as fh:
-            raw = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                raw = json.load(fh)
+        except OSError as exc:
+            raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError(f"{path}: the config must be a JSON object")
         unknown = sorted(set(raw) - {f.name for f in fields(cls)})
@@ -205,6 +219,11 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (value is None and f.default is None or _fits(value, f.type)):
+                kind = getattr(f.type, "__name__", f.type)
+                raise ConfigError(f"{f.name} must be of type {kind}, got {value!r}")
         if self.sampler not in SAMPLER_KINDS:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.folds < 2:
@@ -242,6 +261,17 @@ class ExperimentConfig:
             alpha_u=self.alpha_u,
             beta_u=self.beta_u,
         )
+
+
+def _fits(value, kind):
+    """Whether a config value has its field's type: ints are not bools,
+    floats may be ints, and coarse_range is a pair of ints or Nones."""
+    if kind is tuple:
+        return (isinstance(value, (tuple, list)) and len(value) == 2
+                and all(v is None or _fits(v, int) for v in value))
+    if isinstance(value, (bool, np.bool_)):
+        return kind is bool
+    return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
 
 
 @dataclass
@@ -397,6 +427,8 @@ def prepare_experiment(config, X=None, y=None, truth_coef=None):
     streams: 0 for synthesis, 1 for the fold split, then one per fold."""
     config.validate()
     if X is None:
+        if config.data_path is None:
+            raise ConfigError("no input matrix: give --data or data_path")
         X = load_matrix(config.data_path, config.data_format)
     streams = RandomStream(config.seed).split(2 + config.folds)
     if y is None:

@@ -7,6 +7,7 @@ Levels are indexed coarse to fine: ``matrices[0]`` is the coarsest,
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -52,6 +53,15 @@ class LevelHierarchy:
 
     def widths(self):
         return [m.n_cols for m in self.matrices]
+
+    @cached_property
+    def coarse_gram(self):
+        """Dense X_0^T X_0 of the coarsest level, formed on first use and
+        kept read-only: every two-level preconditioner adds its shift to it."""
+        D0 = self.matrices[0].to_dense()
+        gram = D0.T @ D0
+        gram.flags.writeable = False
+        return gram
 
     def interpolate_to_finest(self, v, level):
         """Carry a coefficient vector from `level` up to the finest level."""

@@ -50,12 +50,15 @@ def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
     if rhs_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
     r = rhs - apply_A(x)
-    res = np.linalg.norm(r)
+    # one r.r per iteration gives both the residual norm and plain CG's r.z
+    rr = float(r @ r)
+    res = np.sqrt(rr)
     if res <= tol * rhs_norm:
         return x, SolveReport(0, float(res), True)
     z = precond(r) if precond is not None else r
     p = z.copy()
-    rz = float(r @ z)
+    rz = float(r @ z) if precond is not None else rr
+    step = np.empty(n)  # scratch for alpha p and alpha Ap
     it = 0
     while it < max_iter:
         Ap = apply_A(p)
@@ -63,10 +66,11 @@ def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
         if not np.isfinite(pAp) or pAp <= 0.0:
             raise NumericalError(f"CG breakdown at iteration {it}: p.Ap = {pAp}")
         alpha = rz / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(Ap, alpha, out=step)
         it += 1
-        res = np.linalg.norm(r)
+        rr = float(r @ r)
+        res = np.sqrt(rr)
         if not np.isfinite(res):
             raise NumericalError(f"CG produced NaN at iteration {it}")
         if res <= tol * rhs_norm:
@@ -79,11 +83,10 @@ def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
             rz = float(r @ z_new)
         else:
             z_new = r
-            rz_new = float(r @ r)
-            beta = rz_new / rz
-            rz = rz_new
-        p = z_new + beta * p
-        z = z_new
+            beta = rr / rz
+            rz = rr
+        p *= beta
+        p += z_new
     return x, SolveReport(it, float(res), False)
 
 
@@ -111,8 +114,7 @@ def build_two_level(hierarchy, level, shift_diag, dense_cap=10_000, smooth_steps
     shift0 = shift_diag
     for P in reversed(chain):
         shift0 = restrict_diagonal(P, shift0)
-    D0 = X0.to_dense()
-    G0 = D0.T @ D0 + np.diag(shift0)
+    G0 = hierarchy.coarse_gram + np.diag(shift0)
     try:
         factor = cho_factor(G0)
     except np.linalg.LinAlgError:
@@ -132,6 +134,7 @@ def _cg_smooth(apply_A, rhs, steps):
     x = np.zeros(rhs.size)
     r = rhs.copy()
     p = r.copy()
+    step = np.empty(rhs.size)
     rr = float(r @ r)
     for _ in range(steps):
         if rr == 0.0:
@@ -141,10 +144,11 @@ def _cg_smooth(apply_A, rhs, steps):
         if pAp <= 0.0 or not np.isfinite(pAp):
             break
         alpha = rr / pAp
-        x += alpha * p
-        r -= alpha * Ap
+        x += np.multiply(p, alpha, out=step)
+        r -= np.multiply(Ap, alpha, out=step)
         rr_new = float(r @ r)
-        p = r + (rr_new / rr) * p
+        p *= rr_new / rr
+        p += r
         rr = rr_new
     return x
 

@@ -192,6 +192,27 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError):
             cfg.validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("samples", "many"), ("samples", True), ("folds", 2.5), ("cg_tol", "1e-8"),
+        ("preconditioned", 1), ("sampler", None), ("schedule", 5),
+        ("coarse_range", (4, 8, 12)), ("coarse_range", (4, "8")), ("cg_max_iter", 7.0),
+    ])
+    def test_validate_rejects_wrong_types(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value}).validate()
+
+    def test_validate_accepts_types(self, tmp_path):
+        ExperimentConfig(cg_tol=1, beta_v=2, seed=np.int64(3), cg_max_iter=None,
+                         coarse_range=[None, 8], data_path=tmp_path / "X.mtx",
+                         preconditioned=np.bool_(True)).validate()
+
+    @pytest.mark.parametrize("content", [b'{"samples": 60,', b'{"seed": "\xff"}'])
+    def test_from_json_not_json(self, tmp_path, content):
+        p = tmp_path / "cfg.json"
+        p.write_bytes(content)
+        with pytest.raises(ConfigError, match="not valid JSON"):
+            ExperimentConfig.from_json(p)
+
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(
@@ -507,6 +528,29 @@ class TestCli:
             "--level-variance", str(tmp_path / "lv.csv"),
         ])
         assert code == 2
+
+    @pytest.mark.parametrize("text", ['{"samples": 60,', '{"samples": "many"}', None])
+    def test_malformed_config(self, tmp_path, capsys, text):
+        data = self._write_data(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        if text is not None:  # None: the file does not exist
+            cfg.write_text(text)
+        code = main(["run", "--data", str(data), "--config", str(cfg), "--folds", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--data", "--targets"])
+    def test_missing_input_file(self, tmp_path, capsys, flag):
+        data, missing = str(self._write_data(tmp_path)), str(tmp_path / "missing.csv")
+        inputs = {"--data": [missing], "--targets": [data, "--targets", missing]}[flag]
+        code = main(["run", "--data", *inputs, "--samples", "60", "--folds", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and missing in err
+
+    def test_no_data(self, capsys):
+        assert main(["run", "--samples", "60", "--folds", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"

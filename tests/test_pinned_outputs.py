@@ -108,6 +108,45 @@ def test_run_ml_cs(problem, coupling, level_change_burn, sums, counts):
     assert_pinned([summary(v) for v in acc.level_sums], sums)
 
 
+@pytest.mark.parametrize("coupling, sums, cg_solves, cg_iters", [
+    ("solves",
+     [(1.3794728789833473, -2.1869024114181546),
+      (3.439456482232684, 0.2962623930748098),
+      (2.5018402809930778, -1.706791547803395)],
+     [80, 60, 20], [470, 237, 76]),
+    ("projection",
+     [(1.3794728789833473, -2.1869024114181546),
+      (3.429261704331595, 0.4371984664260444),
+      (2.501773302754385, -1.6693513792003907)],
+     [40, 40, 20], [258, 162, 76]),
+])
+def test_run_ml_cs_preconditioned(problem, coupling, sums, cg_solves, cg_iters):
+    _, y, spec, h = problem
+    schedule = make_schedule("vcycle:10", 3, 100, 20)
+    acc = run_ml_cs(h, y, spec, schedule, SolverConfig(), RandomStream(23),
+                    coupling=coupling, preconditioned=True)
+    assert acc.counts.tolist() == [20, 40, 20]
+    assert acc.cg_solves.tolist() == cg_solves
+    assert acc.cg_iters.tolist() == cg_iters
+    assert_pinned([summary(v) for v in acc.level_sums], sums)
+
+
+def test_run_ml_gibbs_mixed_wcycle(problem):
+    # fixed columns on every level, so each level's shift takes two values
+    _, y, spec, h = problem
+    assert spec.n_fixed > 0 and min(h.group_boundaries) > 0
+    schedule = make_schedule("wcycle:10", 3, 100, 20)
+    acc = run_ml_gibbs(h, y, spec, schedule, SolverConfig(), RandomStream(26),
+                       preconditioned=True)
+    assert acc.counts.tolist() == [30, 40, 10]
+    assert acc.cg_solves.tolist() == [50, 40, 10]
+    assert acc.cg_iters.tolist() == [315, 136, 27]
+    assert_pinned([summary(v) for v in acc.level_sums],
+                  [(5.3601387532049625, -24.820573592625742),
+                   (0.9511808653274444, -17.091942927060607),
+                   (0.27669405472540415, 25.46825355593634)])
+
+
 def test_estimate_level_variances(problem):
     _, y, spec, h = problem
     s2 = estimate_level_variances(h, y, spec, SolverConfig(), RandomStream(24), pilot=15)

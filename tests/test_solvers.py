@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import cho_factor, cho_solve
+
 from mlgibbs import (
     NumericalError,
     SetupError,
@@ -14,8 +16,11 @@ from mlgibbs import (
     from_dense,
     gram_apply,
     precond_apply,
+    prolong,
+    restrict,
 )
-from mlgibbs.hierarchy import LevelHierarchy
+from mlgibbs.hierarchy import LevelHierarchy, restrict_diagonal
+from mlgibbs.sparse import SparseMatrix
 from conftest import cluster_sparse
 
 
@@ -164,3 +169,156 @@ class TestTwoLevelPreconditioner:
         scale = np.linalg.norm(ref)
         assert np.linalg.norm(x_plain - ref) <= 1e-5 * scale
         assert np.linalg.norm(x_pre - ref) <= 1e-5 * scale
+
+
+# The solve path as it was written before the in-place CG and the direct
+# CSR kernel calls: scipy's `@`, a separate residual norm and fresh
+# temporaries per iteration. The current code must give the same bits.
+
+def reference_gram(X, shift):
+    return lambda v: X.csr_t @ (X.csr @ v) + shift * v
+
+
+def reference_cg(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
+    n = rhs.size
+    if max_iter is None:
+        max_iter = 2 * n
+    rhs_norm = np.linalg.norm(rhs)
+    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    r = rhs - apply_A(x)
+    res = np.linalg.norm(r)
+    if res <= tol * rhs_norm:
+        return x, 0, float(res), True
+    z = precond(r) if precond is not None else r
+    p = z.copy()
+    rz = float(r @ z)
+    it = 0
+    while it < max_iter:
+        Ap = apply_A(p)
+        pAp = float(p @ Ap)
+        alpha = rz / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        it += 1
+        res = np.linalg.norm(r)
+        if res <= tol * rhs_norm:
+            return x, it, float(res), True
+        if precond is not None:
+            z_new = precond(r)
+            beta = -float(z_new @ Ap) / pAp
+            rz = float(r @ z_new)
+        else:
+            z_new = r
+            rz_new = float(r @ r)
+            beta = rz_new / rz
+            rz = rz_new
+        p = z_new + beta * p
+    return x, it, float(res), False
+
+
+def reference_cg_smooth(apply_A, rhs, steps):
+    x = np.zeros(rhs.size)
+    r = rhs.copy()
+    p = r.copy()
+    rr = float(r @ r)
+    for _ in range(steps):
+        if rr == 0.0:
+            break
+        Ap = apply_A(p)
+        pAp = float(p @ Ap)
+        if pAp <= 0.0 or not np.isfinite(pAp):
+            break
+        alpha = rr / pAp
+        x += alpha * p
+        r -= alpha * Ap
+        rr_new = float(r @ r)
+        p = r + (rr_new / rr) * p
+        rr = rr_new
+    return x
+
+
+def reference_two_level(h, level, shift, smooth_steps=2):
+    chain = h.prolongators[:level]
+    shift0 = shift
+    for P in reversed(chain):
+        shift0 = restrict_diagonal(P, shift0)
+    D0 = h.matrices[0].to_dense()
+    factor = cho_factor(D0.T @ D0 + np.diag(shift0))
+    apply_fine = reference_gram(h.matrices[level], shift)
+
+    def apply(r):
+        z = reference_cg_smooth(apply_fine, r, smooth_steps)
+        resid = r - apply_fine(z)
+        for P in reversed(chain):
+            resid = restrict(P, resid)
+        yc = cho_solve(factor, resid)
+        for P in chain:
+            yc = prolong(P, yc)
+        return z + yc
+
+    return apply, factor
+
+
+@pytest.fixture(scope="module")
+def mixed_system():
+    """A three-level hierarchy of a mixed model (4 fixed columns), a
+    two-valued shift at the finest level and a right-hand side."""
+    X = cluster_sparse(np.random.default_rng(5), 50, 10, 5, 6)
+    h = build_hierarchy(X, 4, (5, 12), 3)
+    shift = np.where(np.arange(X.n_cols) < 4, 0.02, 0.7)
+    rhs = np.random.default_rng(6).standard_normal(X.n_cols) * 10
+    return h, shift, rhs
+
+
+def assert_same_solve(got, want):
+    x, report = got
+    assert np.array_equal(x, want[0])
+    assert (report.iterations, report.final_residual_norm, report.converged) == want[1:]
+
+
+class TestBitIdentity:
+    @pytest.mark.parametrize("tol, max_iter, warm", [
+        (1e-8, None, False),  # plain CG to convergence
+        (1e-8, None, True),  # warm start
+        (1e-14, 3, False),  # max_iter cut-off
+    ])
+    def test_plain(self, mixed_system, tol, max_iter, warm):
+        h, shift, rhs = mixed_system
+        X = h.finest
+        x0 = rhs * 1e-3 if warm else None
+        want = reference_cg(reference_gram(X, shift), rhs, x0, tol, max_iter)
+        got = cg_solve(lambda v: gram_apply(X, shift, v), rhs, x0, tol, max_iter)
+        assert_same_solve(got, want)
+        assert want[3] == (max_iter is None)
+
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("max_iter", [None, 2])
+    def test_flexible_two_level(self, mixed_system, level, max_iter):
+        h, _, rhs = mixed_system
+        X = h.matrices[level]
+        shift = np.where(np.arange(X.n_cols) < h.group_boundaries[level], 0.02, 0.7)
+        b = rhs[: X.n_cols]
+        M = build_two_level(h, level, shift)
+        ref_precond, factor = reference_two_level(h, level, shift)
+        assert np.array_equal(M.coarse_factor[0], factor[0])
+        want = reference_cg(reference_gram(X, shift), b, b, 1e-10, max_iter, ref_precond)
+        got = cg_solve(lambda v: gram_apply(X, shift, v), b, b, 1e-10, max_iter, M)
+        assert_same_solve(got, want)
+
+    def test_coarse_gram_formed_once_per_hierarchy(self, mixed_system, monkeypatch):
+        h0, shift, _ = mixed_system
+        calls = []
+        to_dense = SparseMatrix.to_dense
+
+        def counting(A):
+            calls.append(A)
+            return to_dense(A)
+
+        monkeypatch.setattr(SparseMatrix, "to_dense", counting)
+        for h in (LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries),
+                  LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries)):
+            for scale in (1.0, 2.0, 0.5):
+                build_two_level(h, 2, shift * scale)
+                build_two_level(h, 1, restrict_diagonal(h.prolongators[1], shift))
+        assert calls == [h0.matrices[0]] * 2
+        assert not h.coarse_gram.flags.writeable

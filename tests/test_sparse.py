@@ -120,6 +120,58 @@ class TestGramApply:
             gram_apply(A, [1.0, 1.0, 1.0], [1, 1, 1])
 
 
+def _matrix_with_index_dtype(n_rows, dtype):
+    """A 7-column matrix with empty rows (none when n_rows is 0) and an
+    empty column, whose CSR form and transpose have `dtype` indices."""
+    rng = np.random.default_rng(3)
+    dense = rng.standard_normal((n_rows, 7))
+    dense[rng.random((n_rows, 7)) > 0.4] = 0.0
+    dense[::4] = 0.0  # empty rows, the first and last among them
+    dense[:, 2] = 0.0
+    A = from_dense(dense)
+    for m in (A.csr, A.csr_t):
+        m.indptr, m.indices = m.indptr.astype(dtype), m.indices.astype(dtype)
+    return A
+
+
+def _vectors(n, rng):
+    """A float64, a strided, an int and a float32 vector of length n."""
+    return [
+        rng.standard_normal(n),
+        rng.standard_normal(2 * n)[::2],
+        np.arange(n) - n // 2,
+        rng.standard_normal(n).astype(np.float32),
+    ]
+
+
+class TestScipyBitIdentity:
+    """The products call scipy's CSR kernel directly; they must give the
+    same bits as scipy's `@` on the same matrices."""
+
+    @pytest.mark.parametrize("n_rows", [9, 0])
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_products(self, n_rows, index_dtype):
+        A = _matrix_with_index_dtype(n_rows, index_dtype)
+        assert A.csr.indices.dtype == A.csr_t.indptr.dtype == index_dtype
+        rng = np.random.default_rng(n_rows)
+        shift = rng.uniform(0.1, 2.0, A.n_cols)
+        for x in _vectors(A.n_cols, rng):
+            got = spmv(A, x)
+            assert got.dtype == np.float64 and got.shape == (A.n_rows,)
+            assert np.array_equal(got, A.csr @ x)
+            want = A.csr_t @ (A.csr @ x) + shift * x
+            assert np.array_equal(gram_apply(A, shift, x), want)
+        for y in _vectors(A.n_rows, rng):
+            assert np.array_equal(spmv_t(A, y), A.csr_t @ y)
+
+    def test_inputs_untouched(self, rng):
+        A, _ = random_sparse(rng, 6, 5)
+        x, shift = rng.standard_normal(5), np.full(5, 0.5)
+        x0, s0 = x.copy(), shift.copy()
+        gram_apply(A, shift, x)
+        assert np.array_equal(x, x0) and np.array_equal(shift, s0)
+
+
 @settings(deadline=None, max_examples=40)
 @given(seed=st.integers(0, 10**6))
 def test_adjoint_property(seed):
