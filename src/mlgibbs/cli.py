@@ -9,7 +9,7 @@ import argparse
 import dataclasses
 import sys
 
-from .errors import MlgibbsError
+from .errors import EstimatorError, MlgibbsError
 from .harness import (
     ExperimentConfig,
     build_hierarchy,
@@ -72,6 +72,8 @@ def cmd_run(args):
         with open(args.report, "w") as fh:
             fh.write(report.to_json())
         print(f"report written to {args.report}")
+    if all(f.error is not None for f in report.folds):
+        raise EstimatorError(f"no fold succeeded; fold 0: {report.folds[0].error}")
     if args.level_variance:
         if cfg.sampler == "gibbs":
             print("--level-variance needs a multilevel sampler", file=sys.stderr)

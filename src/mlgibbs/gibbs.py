@@ -94,11 +94,8 @@ def sample_hyperparams(state, X, y, spec, stream):
     return tau, lam_v, lam_u
 
 
-def draw_noise(X, tau, lam, config, stream):
-    """e1 ~ N(0, I/tau), e2 ~ N(0, Lambda); both zero in the
-    noise-suppressed diagnostic mode (no stream draws then)."""
-    if config.suppress_noise:
-        return np.zeros(X.n_rows), np.zeros(X.n_cols)
+def draw_noise(X, tau, lam, stream):
+    """e1 ~ N(0, I/tau), e2 ~ N(0, Lambda)."""
     e1 = stream.standard_normal(X.n_rows) * np.sqrt(1.0 / tau)
     e2 = stream.standard_normal(X.n_cols) * np.sqrt(lam)
     return e1, e2
@@ -111,7 +108,7 @@ def solve_noise_system(X, y, tau, lam, e1, e2, config, precond=None, x0=None):
     return cg_solve(
         lambda v: gram_apply(X, shift, v),
         rhs,
-        x0=x0 if config.warm_start else None,
+        x0=x0,
         tol=config.tol,
         max_iter=config.max_iter,
         precond=precond,
@@ -121,7 +118,7 @@ def solve_noise_system(X, y, tau, lam, e1, e2, config, precond=None, x0=None):
 def draw_coefficient(X, y, state, spec, config, stream, precond=None):
     """One noise-injection coefficient draw; returns (b, SolveReport)."""
     lam = assemble_lambda(spec, state.lam_v, state.lam_u)
-    e1, e2 = draw_noise(X, state.tau, lam, config, stream)
+    e1, e2 = draw_noise(X, state.tau, lam, stream)
     return solve_noise_system(
         X, y, state.tau, lam, e1, e2, config, precond=precond, x0=state.b
     )

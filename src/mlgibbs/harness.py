@@ -20,6 +20,7 @@ from .multilevel import (
     estimate_level_variances,
     finalize_estimate,
     make_schedule,
+    parse_schedule,
     probe_levels,
     run_ml_cs,
     run_ml_gibbs,
@@ -235,13 +236,31 @@ class ExperimentConfig:
         for p in ("alpha_e", "beta_e", "alpha_v", "beta_v", "alpha_u", "beta_u"):
             if getattr(self, p) <= 0:
                 raise ConfigError(f"prior parameter {p} must be positive")
+        parse_schedule(self.schedule)
+        if not self.samples > self.burn_in >= 0:
+            raise ConfigError(
+                f"need samples > burn_in >= 0, got {self.samples}, {self.burn_in}"
+            )
+        for name, least in (("levels", 1), ("seed", 0), ("n_fixed", 0), ("pilot", 2)):
+            if getattr(self, name) < least:
+                raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
+        if not self.cg_tol >= 0:  # also rejects NaN
+            raise ConfigError(f"cg_tol must be >= 0, got {self.cg_tol}")
+        if self.cg_max_iter is not None and self.cg_max_iter < 1:
+            raise ConfigError(f"cg_max_iter must be >= 1, got {self.cg_max_iter}")
+        lo, hi = self.coarse_range
+        if any(v is not None and v < 1 for v in (lo, hi)) or (
+            None not in (lo, hi) and lo > hi
+        ):
+            raise ConfigError(f"coarse_range must satisfy 1 <= lo <= hi, got {lo}, {hi}")
 
     def coarse_range_for(self, n_cols):
-        """The configured coarsest-width range, or [0.6 w, w] with
-        w = n_cols // 3 when none is set."""
+        """The configured coarsest-width range [lo, hi]; an unset hi is
+        n_cols // 3 and an unset lo is 0.6 hi (both at least 1)."""
         lo, hi = self.coarse_range
-        if lo is None:
+        if hi is None:
             hi = max(1, n_cols // 3)
+        if lo is None:
             lo = max(1, int(hi * 0.6))
         return lo, hi
 
@@ -326,13 +345,18 @@ class MetricsReport:
         lines = [
             f"sampler     {self.config.get('sampler')}"
             + ("+precond" if self.config.get("preconditioned") else ""),
-            f"setup (s)   {self.setup_time:.3e}",
-            f"exec. (s)   {self.exec_time:.3e}",
-            f"rho         {self.rho_mean:.3f} ({self.rho_std:.3f})",
-            f"RMSE        {self.rmse_mean:.3e} ({self.rmse_std:.3e})",
-            f"MAE         {self.mae_mean:.3e} ({self.mae_std:.3e})",
-            f"CG unconv.  {self.cg_unconverged}",
         ]
+        if self.rmse_mean is None:  # no fold succeeded
+            lines.append(f"failed      all {len(self.folds)} folds")
+        else:
+            lines += [
+                f"setup (s)   {self.setup_time:.3e}",
+                f"exec. (s)   {self.exec_time:.3e}",
+                f"rho         {self.rho_mean:.3f} ({self.rho_std:.3f})",
+                f"RMSE        {self.rmse_mean:.3e} ({self.rmse_std:.3e})",
+                f"MAE         {self.mae_mean:.3e} ({self.mae_std:.3e})",
+            ]
+        lines.append(f"CG unconv.  {self.cg_unconverged}")
         return "\n".join(lines)
 
     def metric_values(self):
@@ -430,6 +454,8 @@ def prepare_experiment(config, X=None, y=None, truth_coef=None):
         if config.data_path is None:
             raise ConfigError("no input matrix: give --data or data_path")
         X = load_matrix(config.data_path, config.data_format)
+    if config.n_fixed > X.n_cols:
+        raise ConfigError(f"n_fixed={config.n_fixed} exceeds the {X.n_cols} columns")
     streams = RandomStream(config.seed).split(2 + config.folds)
     if y is None:
         if config.targets_path:

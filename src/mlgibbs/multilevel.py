@@ -73,6 +73,24 @@ class EstimatorAccumulator:
         self.cg_unconverged[level] += not report.converged
 
 
+def parse_schedule(kind):
+    """(name, chunk size) of a schedule kind: ("consecutive", None),
+    ("vcycle", k) or ("wcycle", k); ConfigError when it does not parse."""
+    if kind == "consecutive":
+        return kind, None
+    name, _, karg = kind.partition(":")
+    name = name.replace("_", "")
+    if name not in ("vcycle", "wcycle") or not karg:
+        raise ConfigError(f"unknown schedule kind {kind!r}")
+    try:
+        k = int(karg)
+    except ValueError:
+        raise ConfigError(f"bad chunk size in {kind!r}") from None
+    if k < 1:
+        raise ConfigError(f"chunk size must be >= 1, got {k}")
+    return name, k
+
+
 def make_schedule(kind, levels, H_total, burn_in, level_change_burn=0):
     """Build the level visit schedule.
 
@@ -86,23 +104,14 @@ def make_schedule(kind, levels, H_total, burn_in, level_change_burn=0):
         raise ConfigError(f"levels must be >= 1, got {levels}")
     if not H_total > burn_in >= 0:
         raise ConfigError(f"need H_total > burn_in >= 0, got {H_total}, {burn_in}")
+    name, k = parse_schedule(kind)
     H_post = H_total - burn_in
     L = levels - 1
-    if kind == "consecutive":
+    if name == "consecutive":
         base, rem = divmod(H_post, levels)
         totals = [base + (1 if l < rem else 0) for l in range(levels)]
         visits = [(l, h) for l, h in enumerate(totals) if h > 0]
     else:
-        name, _, karg = kind.partition(":")
-        name = name.replace("_", "")
-        if name not in ("vcycle", "wcycle") or not karg:
-            raise ConfigError(f"unknown schedule kind {kind!r}")
-        try:
-            k = int(karg)
-        except ValueError:
-            raise ConfigError(f"bad chunk size in {kind!r}") from None
-        if k < 1:
-            raise ConfigError(f"chunk size must be >= 1, got {k}")
         if k < 10:
             warnings.warn(
                 f"chunk size {k} < 10: the chain may not settle between level changes",
@@ -240,14 +249,7 @@ def _maybe_precond(chain, level, lam):
     # the coarsest level has no coarser space; plain CG there
     if not chain.preconditioned or level < 1:
         return None
-    config = chain.config
-    return build_two_level(
-        chain.hierarchy,
-        level,
-        lam / chain.state.tau,
-        dense_cap=config.precond_cap,
-        smooth_steps=config.smooth_steps,
-    )
+    return build_two_level(chain.hierarchy, level, lam / chain.state.tau)
 
 
 def _solve(chain, level, lam, e1, e2, x0):
@@ -285,7 +287,7 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
                     state, X_l, y, spec_l, stream
                 )
             lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
-            e1, e2 = draw_noise(X_l, state.tau, lam, chain.config, stream)
+            e1, e2 = draw_noise(X_l, state.tau, lam, stream)
             b = _solve(chain, lvl, lam, e1, e2, state.b)
             if acc.trace is not None:
                 acc.trace.append((state.tau, state.lam_v, state.lam_u))

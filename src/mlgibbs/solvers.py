@@ -22,16 +22,18 @@ class SolveReport:
     converged: bool
 
 
+# the two-level preconditioner's CG pre-smoothing steps, and the widest
+# coarsest level whose Gram matrix it factors densely
+SMOOTH_STEPS = 2
+DENSE_CAP = 10_000
+
+
 @dataclass
 class SolverConfig:
     """Knobs of the noise-injection linear solves."""
 
     tol: float = 1e-8
     max_iter: int | None = None
-    warm_start: bool = True
-    suppress_noise: bool = False  # diagnostic mode: e_1 = e_2 = 0
-    precond_cap: int = 10_000
-    smooth_steps: int = 2
 
 
 def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
@@ -46,19 +48,28 @@ def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
     if max_iter is None:
         max_iter = 2 * n
     rhs_norm = np.linalg.norm(rhs)
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
     if rhs_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
-    r = rhs - apply_A(x)
+    if x0 is None:
+        x, r = np.zeros(n), rhs.copy()
+    else:
+        x = np.array(x0, dtype=np.float64)
+        r = rhs - apply_A(x)
+    return _cg(apply_A, x, r, tol * rhs_norm, max_iter, precond)
+
+
+def _cg(apply_A, x, r, stop, max_iter, precond):
+    """CG from iterate x with residual r (both updated in place) until
+    ||r|| <= stop or max_iter iterations; returns (x, SolveReport)."""
     # one r.r per iteration gives both the residual norm and plain CG's r.z
     rr = float(r @ r)
     res = np.sqrt(rr)
-    if res <= tol * rhs_norm:
+    if res <= stop:
         return x, SolveReport(0, float(res), True)
     z = precond(r) if precond is not None else r
     p = z.copy()
     rz = float(r @ z) if precond is not None else rr
-    step = np.empty(n)  # scratch for alpha p and alpha Ap
+    step = np.empty(x.size)  # scratch for alpha p and alpha Ap
     it = 0
     while it < max_iter:
         Ap = apply_A(p)
@@ -73,7 +84,7 @@ def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
         res = np.sqrt(rr)
         if not np.isfinite(res):
             raise NumericalError(f"CG produced NaN at iteration {it}")
-        if res <= tol * rhs_norm:
+        if res <= stop:
             return x, SolveReport(it, float(res), True)
         if precond is not None:
             # flexible CG: A-orthogonalize the new direction against the
@@ -95,20 +106,19 @@ class TwoLevelPreconditioner:
     apply_fine: object  # action of the fine-level Gram operator
     prolongators: list  # coarse-to-fine chain below the target level
     coarse_factor: tuple = field(repr=False)
-    smooth_steps: int = 2
 
     def __call__(self, r):
         return precond_apply(self, r)
 
 
-def build_two_level(hierarchy, level, shift_diag, dense_cap=10_000, smooth_steps=2):
+def build_two_level(hierarchy, level, shift_diag):
     """Two-level preconditioner for the Gram system at `level`: CG
     pre-smoothing plus an exact coarsest-level correction."""
     if level < 1 or level >= hierarchy.n_levels:
         raise SetupError(f"no coarse space below level {level}")
     X0 = hierarchy.matrices[0]
-    if X0.n_cols > dense_cap:
-        raise SetupError(f"coarse width {X0.n_cols} exceeds dense cap {dense_cap}")
+    if X0.n_cols > DENSE_CAP:
+        raise SetupError(f"coarse width {X0.n_cols} exceeds dense cap {DENSE_CAP}")
     shift_diag = np.asarray(shift_diag, dtype=np.float64)
     chain = hierarchy.prolongators[:level]
     shift0 = shift_diag
@@ -125,37 +135,13 @@ def build_two_level(hierarchy, level, shift_diag, dense_cap=10_000, smooth_steps
         apply_fine=lambda v: gram_apply(X_l, shift_diag, v),
         prolongators=chain,
         coarse_factor=factor,
-        smooth_steps=smooth_steps,
     )
 
 
-def _cg_smooth(apply_A, rhs, steps):
-    """Fixed number of plain CG iterations from a zero start."""
-    x = np.zeros(rhs.size)
-    r = rhs.copy()
-    p = r.copy()
-    step = np.empty(rhs.size)
-    rr = float(r @ r)
-    for _ in range(steps):
-        if rr == 0.0:
-            break
-        Ap = apply_A(p)
-        pAp = float(p @ Ap)
-        if pAp <= 0.0 or not np.isfinite(pAp):
-            break
-        alpha = rr / pAp
-        x += np.multiply(p, alpha, out=step)
-        r -= np.multiply(Ap, alpha, out=step)
-        rr_new = float(r @ r)
-        p *= rr_new / rr
-        p += r
-        rr = rr_new
-    return x
-
-
 def precond_apply(M, r):
-    """Smooth, then add the prolongated exact coarse correction."""
-    z = _cg_smooth(M.apply_fine, r, M.smooth_steps)
+    """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the
+    prolongated exact coarse correction."""
+    z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
     resid = r - M.apply_fine(z)
     for P in reversed(M.prolongators):
         resid = restrict(P, resid)

@@ -19,7 +19,7 @@ from mlgibbs import (
     sample_hyperparams,
     spmv,
 )
-from mlgibbs.gibbs import draw_noise, init_hyperparams
+from mlgibbs.gibbs import init_hyperparams, solve_noise_system
 from conftest import random_sparse
 
 
@@ -98,12 +98,11 @@ class TestSampleHyperparams:
 
 class TestDrawCoefficient:
     def test_hand_solve(self):
+        # noise-free draw: (1 + 1) b = 2
         X = from_dense([[1.0]])
-        spec = MixedModelSpec(0, 1)
-        state = GibbsState(b=None, tau=1.0, lam_v=1.0, lam_u=1.0)
-        cfg = SolverConfig(suppress_noise=True)
-        b, report = draw_coefficient(
-            X, np.array([2.0]), state, spec, cfg, RandomStream(0)
+        b, report = solve_noise_system(
+            X, np.array([2.0]), 1.0, np.ones(1), np.zeros(1), np.zeros(1),
+            SolverConfig(),
         )
         assert np.allclose(b, [1.0], atol=1e-10)
 
@@ -112,26 +111,14 @@ class TestDrawCoefficient:
         y = rng.standard_normal(12)
         tau, lam_v, lam_u = 2.0, 0.7, 1.3
         spec = MixedModelSpec(2, 4)
-        state = GibbsState(b=None, tau=tau, lam_v=lam_v, lam_u=lam_u)
-        cfg = SolverConfig(suppress_noise=True, tol=1e-12)
-        b, _ = draw_coefficient(X, y, state, spec, cfg, RandomStream(0))
         lam = assemble_lambda(spec, lam_v, lam_u)
+        b, _ = solve_noise_system(
+            X, y, tau, lam, np.zeros(12), np.zeros(6), SolverConfig(tol=1e-12)
+        )
         want = np.linalg.solve(
             dense.T @ dense + np.diag(lam / tau), dense.T @ y
         )
         assert np.allclose(b, want, atol=1e-8)
-
-    def test_suppressed_noise_draws_nothing(self, rng):
-        X, _ = random_sparse(rng, 4, 3)
-        cfg = SolverConfig(suppress_noise=True)
-        s = RandomStream(5)
-        e1, e2 = draw_noise(X, 2.0, np.ones(3), cfg, s)
-        assert np.array_equal(e1, np.zeros(4))
-        assert np.array_equal(e2, np.zeros(3))
-        # the stream was not advanced
-        assert np.array_equal(
-            s.standard_normal(3), RandomStream(5).standard_normal(3)
-        )
 
     def test_posterior_moments(self, rng):
         # fixed hyperparameters: draws are Gaussian with the ridge mean and
@@ -188,14 +175,13 @@ class TestRunChain:
         X, dense = random_sparse(rng, 10, 4, density=0.6)
         y = rng.standard_normal(10)
         spec = MixedModelSpec(0, 4)
-        cfg = SolverConfig(suppress_noise=True, tol=1e-12)
-        # with noise suppressed each draw is the ridge solution at the
-        # current hyperparameters; fix them by replaying a short chain
-        state = GibbsState(b=None, tau=3.0, lam_v=1.0, lam_u=0.5)
-        s = RandomStream(0)
-        b1, _ = draw_coefficient(X, y, state, spec, cfg, s)
-        state.b = b1
-        b2, _ = draw_coefficient(X, y, state, spec, cfg, s)
+        cfg = SolverConfig(tol=1e-12)
+        # with zero noise each draw is the ridge solution at the current
+        # hyperparameters; fix them and redraw from the first draw
+        tau, lam = 3.0, assemble_lambda(spec, 1.0, 0.5)
+        e1, e2 = np.zeros(10), np.zeros(4)
+        b1, _ = solve_noise_system(X, y, tau, lam, e1, e2, cfg)
+        b2, _ = solve_noise_system(X, y, tau, lam, e1, e2, cfg, x0=b1)
         assert np.allclose(b1, b2, atol=1e-9)
 
     def test_invalid_lengths(self, rng):

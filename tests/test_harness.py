@@ -1,12 +1,22 @@
 """Ingestion, cross-validation, metrics, experiment orchestration and CLI."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlgibbs import ConfigError, ParseError, RandomStream, from_dense, spmv
+from mlgibbs import (
+    ConfigError,
+    HierarchyError,
+    MlgibbsError,
+    ParseError,
+    RandomStream,
+    from_dense,
+    spmv,
+)
+from mlgibbs import harness
 from mlgibbs.cli import main
 from mlgibbs.harness import (
     ExperimentConfig,
@@ -290,6 +300,7 @@ class TestRunExperiment:
                                seed=0, levels=3, coarse_range=(1, 2))
         rep = run_experiment(cfg, X=X)
         assert all(f.error is not None for f in rep.folds)
+        assert "failed      all 2 folds" in rep.to_text()
 
     def test_report_serialization(self):
         X = small_experiment_matrix()
@@ -317,6 +328,68 @@ class TestRunExperiment:
         rep = run_experiment(ExperimentConfig(sampler="ml", **base), X=X)
         assert [f.cg_unconverged for f in rep.folds] == [[0, 0], [0, 0]]
         assert json.loads(rep.to_json())["cg_unconverged"] == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_config_runs_or_raises_typed(self, data):
+        values = data.draw(in_range_config())
+        for name in data.draw(st.sets(st.sampled_from(sorted(OUT_OF_RANGE)), max_size=2)):
+            values[name] = data.draw(OUT_OF_RANGE[name])
+        X = cluster_sparse(np.random.default_rng(11), 30, 4, 3, 6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # short schedule chunks, constant truth
+            try:
+                rep = run_experiment(ExperimentConfig(folds=2, **values), X=X)
+            except MlgibbsError:
+                return
+        rep.to_text()
+        json.loads(rep.to_json())
+
+
+@st.composite
+def in_range_config(draw):
+    """In-range values of the ExperimentConfig fields that the CLI sets,
+    for a 30 x 12 matrix; a coarse range may still be one that no
+    hierarchy meets."""
+    burn_in = draw(st.integers(0, 10))
+    schedule = draw(st.sampled_from(["consecutive", "vcycle:1", "vcycle:12", "wcycle:2",
+                                     "w_cycle:10"]))
+    bounds = st.integers(1, 14)
+    return {
+        "sampler": draw(st.sampled_from(["gibbs", "ml", "mlcss", "mlcsp"])),
+        "samples": draw(st.integers(burn_in + 1, 20)),
+        "burn_in": burn_in,
+        "levels": draw(st.integers(1, 4)),
+        "schedule": schedule,
+        # cost and variance allocations need the consecutive schedule
+        "allocation": draw(st.sampled_from(
+            ["equal", "cost", "var"] if schedule == "consecutive" else ["equal"]
+        )),
+        "coarse_range": draw(st.sampled_from([(None, None)])
+                             | st.tuples(bounds, bounds).map(sorted).map(tuple)
+                             | st.tuples(st.none(), bounds) | st.tuples(bounds, st.none())),
+        "n_fixed": draw(st.integers(0, 12)),
+        "seed": draw(st.integers(0, 2**40)),
+        "cg_tol": draw(st.sampled_from([0.0, 1e-10, 1e-3, 1.0, np.inf])),
+        "cg_max_iter": draw(st.none() | st.integers(1, 6)),
+        "pilot": draw(st.integers(2, 6)),
+    }
+
+
+OUT_OF_RANGE = {
+    "sampler": st.just("bogus"),
+    "samples": st.integers(-1, 0),
+    "burn_in": st.integers(-2, -1) | st.just(25),
+    "levels": st.integers(-1, 0),
+    "schedule": st.sampled_from(["bogus", "vcycle", "vcycle:0", "wcycle:x", "zigzag:3"]),
+    "allocation": st.just("bogus"),
+    "coarse_range": st.sampled_from([(0, 5), (5, 3), (-1, None), (None, 0)]),
+    "n_fixed": st.just(-1) | st.integers(13, 500),
+    "seed": st.integers(-2, -1),
+    "cg_tol": st.sampled_from([-1.0, np.nan]),
+    "cg_max_iter": st.integers(-3, 0),
+    "pilot": st.integers(-1, 1),
+}
 
 
 class TestLevelVarianceReport:
@@ -543,14 +616,15 @@ class TestCli:
     def test_missing_input_file(self, tmp_path, capsys, flag):
         data, missing = str(self._write_data(tmp_path)), str(tmp_path / "missing.csv")
         inputs = {"--data": [missing], "--targets": [data, "--targets", missing]}[flag]
-        code = main(["run", "--data", *inputs, "--samples", "60", "--folds", "2"])
+        code = main(["run", "--data", *inputs, "--samples", "60", "--burnin", "10",
+                     "--folds", "2"])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and missing in err
 
     def test_no_data(self, capsys):
-        assert main(["run", "--samples", "60", "--folds", "2"]) == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert main(["run", "--samples", "60", "--burnin", "10", "--folds", "2"]) == 1
+        assert capsys.readouterr().err.startswith("error: no input matrix")
 
     def test_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.mtx"
@@ -558,3 +632,38 @@ class TestCli:
         code = main(["run", "--data", str(bad)])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args, config", [
+        (["--sampler", "ml", "--schedule", "bogus"], None),
+        (["--sampler", "ml", "--levels", "0"], None),
+        (["--samples", "5", "--burnin", "10"], None),
+        (["--sampler", "ml", "--coarse-range", "0,5"], None),
+        (["--fixed", "500"], None),
+        (["--fixed", "-1"], None),
+        (["--seed", "-1"], None),
+        (["--cg-tol", "-1"], None),
+        (["--cg-max-iter", "-3"], None),
+        (["--sampler", "ml", "--alloc", "var"], {"pilot": 1}),
+    ])
+    def test_out_of_range_values(self, tmp_path, capsys, args, config):
+        data = self._write_data(tmp_path)
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = args + ["--config", str(tmp_path / "cfg.json")]
+        code = main(["run", "--data", str(data), "--samples", "30", "--burnin", "5",
+                     "--folds", "2", *args])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_every_fold_failed(self, tmp_path, capsys, monkeypatch):
+        def fail(*args):
+            raise HierarchyError("cannot reach the range")
+
+        monkeypatch.setattr(harness, "build_hierarchy", fail)
+        data = self._write_data(tmp_path)
+        code = main(["run", "--data", str(data), "--sampler", "ml", "--samples", "30",
+                     "--burnin", "5", "--folds", "2"])
+        assert code == 1
+        out, err = capsys.readouterr()
+        assert "failed      all 2 folds" in out
+        assert err.startswith("error:") and "HierarchyError: cannot reach the range" in err

@@ -19,6 +19,7 @@ from mlgibbs import (
     prolong,
     restrict,
 )
+from mlgibbs import solvers
 from mlgibbs.hierarchy import LevelHierarchy, restrict_diagonal
 from mlgibbs.sparse import SparseMatrix
 from conftest import cluster_sparse
@@ -112,6 +113,19 @@ class TestCgSolve:
         for prev, cur in zip(err_A, err_A[1:]):
             assert cur <= prev * (1 + 1e-10)
 
+    def test_cold_start_one_product_per_iteration(self, rng):
+        B = rng.standard_normal((30, 30))
+        A = B @ B.T + np.eye(30)
+        products = []
+
+        def apply_A(v):
+            products.append(v)
+            return A @ v
+
+        x, report = cg_solve(apply_A, rng.standard_normal(30), tol=1e-10)
+        assert report.converged and report.iterations > 1
+        assert len(products) == report.iterations
+
     def test_warm_start_exact(self, rng):
         B = rng.standard_normal((10, 10))
         A = B @ B.T + np.eye(10)
@@ -129,16 +143,24 @@ class TestTwoLevelPreconditioner:
         with pytest.raises(SetupError):
             build_two_level(h, 1, np.ones(X.n_cols))
 
-    def test_dense_cap(self, rng):
+    def test_dense_cap(self, rng, monkeypatch):
         X = cluster_sparse(rng, 20, 4, 3, 5)
         h = identity_hierarchy(X)
+        monkeypatch.setattr(solvers, "DENSE_CAP", 2)
         with pytest.raises(SetupError):
-            build_two_level(h, 1, np.ones(X.n_cols), dense_cap=2)
+            build_two_level(h, 1, np.ones(X.n_cols))
 
     def test_zero_residual(self, rng):
         X = cluster_sparse(rng, 20, 4, 3, 5)
         M = build_two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
         assert np.allclose(precond_apply(M, np.zeros(X.n_cols)), 0.0)
+
+    def test_smoother_breakdown_raises(self, rng):
+        X = cluster_sparse(rng, 20, 4, 3, 5)
+        M = build_two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
+        M.apply_fine = lambda v: -v  # indefinite: the first p.Ap is negative
+        with pytest.raises(NumericalError):
+            precond_apply(M, np.ones(X.n_cols))
 
     def test_identity_prolongator_exact(self, rng):
         X = cluster_sparse(rng, 25, 5, 3, 6)
