@@ -11,6 +11,9 @@ import sys
 
 from .errors import EstimatorError, MlgibbsError
 from .harness import (
+    ALLOCATIONS,
+    MATRIX_FORMATS,
+    SAMPLER_KINDS,
     ExperimentConfig,
     build_hierarchy,
     level_variance_csv,
@@ -29,10 +32,10 @@ def _add_run_args(p):
     # Each flag's dest is an ExperimentConfig field and defaults to None, so
     # that only the flags given override --config or the config defaults.
     p.add_argument("--data", dest="data_path", help="matrix path (.mtx or .csv)")
-    p.add_argument("--format", dest="data_format", choices=["matrix_market", "dense_csv"])
+    p.add_argument("--format", dest="data_format", choices=MATRIX_FORMATS)
     p.add_argument("--targets", dest="targets_path", help="CSV of real observations y")
     p.add_argument("--config", help="JSON config file (same keys)")
-    p.add_argument("--sampler", choices=["gibbs", "ml", "mlcss", "mlcsp"])
+    p.add_argument("--sampler", choices=SAMPLER_KINDS)
     p.add_argument("--precond", dest="preconditioned", action="store_true", default=None)
     p.add_argument("--fixed", dest="n_fixed", type=int, help="number of fixed-effect columns")
     p.add_argument("--levels", type=int)
@@ -40,7 +43,7 @@ def _add_run_args(p):
     p.add_argument("--samples", type=int)
     p.add_argument("--burnin", dest="burn_in", type=int)
     p.add_argument("--schedule")
-    p.add_argument("--alloc", dest="allocation", choices=["equal", "cost", "var"])
+    p.add_argument("--alloc", dest="allocation", choices=ALLOCATIONS)
     p.add_argument("--folds", type=int)
     p.add_argument("--seed", type=int)
     p.add_argument("--cg-tol", type=float)

@@ -131,8 +131,6 @@ def run_chain(X, y, spec, H, H_burn_in, config, stream, trace=False):
     multilevel chain on the one-level hierarchy [X]."""
     from .multilevel import make_schedule, run_pooled  # it imports this module
 
-    if not H > H_burn_in >= 0:
-        raise ValueError(f"need H > H_burn_in >= 0, got {H}, {H_burn_in}")
     schedule = make_schedule("consecutive", 1, H, H_burn_in)
     hierarchy = LevelHierarchy([X], [], [spec.n_fixed])
     acc = run_pooled(hierarchy, y, spec, schedule, config, stream, trace=trace)

@@ -33,6 +33,7 @@ from .sparse import from_dense, from_triplets, row_subset, spmv
 
 
 SAMPLER_KINDS = ("gibbs", "ml", "mlcss", "mlcsp")
+ALLOCATIONS = ("equal", "cost", "var")
 COUPLINGS = {"mlcss": "solves", "mlcsp": "projection"}
 
 
@@ -45,11 +46,10 @@ def load_matrix(path, fmt=None):
     path = str(path)
     if fmt is None:
         fmt = "dense_csv" if path.endswith(".csv") else "matrix_market"
-    loaders = {"matrix_market": _load_matrix_market, "dense_csv": _load_dense_csv}
-    if fmt not in loaders:
+    if fmt not in MATRIX_FORMATS:
         raise ConfigError(f"unknown matrix format {fmt!r}")
     try:
-        return loaders[fmt](path)
+        return MATRIX_FORMATS[fmt](path)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
@@ -105,6 +105,9 @@ def _load_dense_csv(path):
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
     return from_dense(dense)
+
+
+MATRIX_FORMATS = {"matrix_market": _load_matrix_market, "dense_csv": _load_dense_csv}
 
 
 def save_matrix_market(path, A):
@@ -189,7 +192,7 @@ class ExperimentConfig:
     samples: int = 2200
     burn_in: int = 200
     schedule: str = "consecutive"
-    allocation: str = "equal"  # equal | cost | var
+    allocation: str = "equal"  # one of ALLOCATIONS
     levels: int = 3
     coarse_range: tuple = (None, None)
     folds: int = 5
@@ -229,7 +232,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown sampler {self.sampler!r}")
         if self.folds < 2:
             raise ConfigError("folds must be >= 2")
-        if self.allocation not in ("equal", "cost", "var"):
+        if self.allocation not in ALLOCATIONS:
             raise ConfigError(f"unknown allocation {self.allocation!r}")
         if self.allocation != "equal" and self.schedule != "consecutive":
             raise ConfigError("cost/var allocation requires the consecutive schedule")
@@ -244,8 +247,9 @@ class ExperimentConfig:
         for name, least in (("levels", 1), ("seed", 0), ("n_fixed", 0), ("pilot", 2)):
             if getattr(self, name) < least:
                 raise ConfigError(f"{name} must be >= {least}, got {getattr(self, name)}")
-        if not self.cg_tol >= 0:  # also rejects NaN
-            raise ConfigError(f"cg_tol must be >= 0, got {self.cg_tol}")
+        # a tolerance of 1 or more stops every solve at its start; NaN fails too
+        if not 0 <= self.cg_tol < 1:
+            raise ConfigError(f"cg_tol must be in [0, 1), got {self.cg_tol}")
         if self.cg_max_iter is not None and self.cg_max_iter < 1:
             raise ConfigError(f"cg_max_iter must be >= 1, got {self.cg_max_iter}")
         lo, hi = self.coarse_range
@@ -390,10 +394,8 @@ def _fold_schedule(config, hierarchy, y, spec, solver_cfg, stream):
             hierarchy, y, spec, solver_cfg, stream, pilot=config.pilot
         )
         totals = allocate_variance(costs, H_post)
-    return SampleSchedule(
-        visits=[(l, h) for l, h in enumerate(totals) if h > 0],
-        totals=np.asarray(totals, dtype=np.int64), burn_in=config.burn_in,
-    )
+    visits = [(l, h) for l, h in enumerate(totals) if h > 0]
+    return SampleSchedule(visits, hierarchy.n_levels, config.burn_in)
 
 
 def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):

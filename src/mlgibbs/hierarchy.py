@@ -63,10 +63,13 @@ class LevelHierarchy:
         gram.flags.writeable = False
         return gram
 
-    def interpolate_to_finest(self, v, level):
-        """Carry a coefficient vector from `level` up to the finest level."""
-        for l in range(level, self.n_levels - 1):
+    def transfer(self, v, level, target):
+        """Carry a vector from `level` to `target`, one level at a time:
+        prolonged up or restricted down; v itself when they are equal."""
+        for l in range(level, target):
             v = prolong(self.prolongators[l], v)
+        for l in range(level, target, -1):
+            v = restrict(self.prolongators[l - 1], v)
         return v
 
 

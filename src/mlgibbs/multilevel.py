@@ -4,7 +4,7 @@ and per-level sample allocation."""
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
@@ -19,22 +19,28 @@ from .gibbs import (
     sample_hyperparams,
     solve_noise_system,
 )
-from .hierarchy import prolong, restrict
 from .solvers import SolverConfig, build_two_level
 from .sparse import spmv
 
 
 @dataclass
 class SampleSchedule:
-    """Ordered level visits (post burn-in) plus per-level totals H_l.
+    """Ordered level visits (post burn-in) over n_levels levels; totals
+    holds the per-level totals H_l that the visits add up to.
 
     Burn-in is always taken at the coarsest level before the visits.
     """
 
     visits: list  # [(level, chunk_size), ...]
-    totals: np.ndarray
+    n_levels: int
     burn_in: int
     level_change_burn: int = 0
+    totals: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.totals = np.zeros(self.n_levels, dtype=np.int64)
+        for lvl, chunk in self.visits:
+            self.totals[lvl] += chunk
 
 
 @dataclass
@@ -109,8 +115,7 @@ def make_schedule(kind, levels, H_total, burn_in, level_change_burn=0):
     L = levels - 1
     if name == "consecutive":
         base, rem = divmod(H_post, levels)
-        totals = [base + (1 if l < rem else 0) for l in range(levels)]
-        visits = [(l, h) for l, h in enumerate(totals) if h > 0]
+        visits = [(l, h) for l in range(levels) if (h := base + (l < rem)) > 0]
     else:
         if k < 10:
             warnings.warn(
@@ -121,24 +126,11 @@ def make_schedule(kind, levels, H_total, burn_in, level_change_burn=0):
             cycle = list(range(levels)) + list(range(L - 1, 0, -1))
         else:
             cycle = _w_order(L)
-        visits = []
-        remaining = H_post
-        while remaining > 0:
-            for lvl in cycle:
-                chunk = min(k, remaining)
-                visits.append((lvl, chunk))
-                remaining -= chunk
-                if remaining == 0:
-                    break
-        totals = [0] * levels
-        for lvl, chunk in visits:
-            totals[lvl] += chunk
-    return SampleSchedule(
-        visits=visits,
-        totals=np.asarray(totals, dtype=np.int64),
-        burn_in=burn_in,
-        level_change_burn=level_change_burn,
-    )
+        visits = [
+            (cycle[i % len(cycle)], min(k, H_post - start))
+            for i, start in enumerate(range(0, H_post, k))
+        ]
+    return SampleSchedule(visits, levels, burn_in, level_change_burn)
 
 
 def _w_order(l):
@@ -191,16 +183,6 @@ def _level_specs(hierarchy, spec):
     for m, gb in zip(hierarchy.matrices, hierarchy.group_boundaries):
         out.append(spec.at_width(gb, m.n_cols - gb))
     return out
-
-
-def _move_state(hierarchy, b, cur, target):
-    while cur < target:
-        b = prolong(hierarchy.prolongators[cur], b)
-        cur += 1
-    while cur > target:
-        b = restrict(hierarchy.prolongators[cur - 1], b)
-        cur -= 1
-    return b
 
 
 def _visit_plan(schedule):
@@ -279,7 +261,7 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
         if chain.state is None:
             chain.state = state = GibbsState(None, *init_hyperparams(spec_l, stream))
         elif lvl != cur:
-            state.b = _move_state(hierarchy, state.b, cur, lvl)
+            state.b = hierarchy.transfer(state.b, cur, lvl)
         cur = lvl
         for _ in range(count):
             if state.b is not None:
@@ -302,13 +284,13 @@ def _coupled_difference(chain, lvl, b, e1, e2, coupling):
     system with the draw's tau, lam_v, lam_u and e1 and with e2
     restricted, and counts that solve at level l-1; coupling="projection"
     takes b_{l-1} = P_l^T b_l without a second solve."""
-    P_l = chain.hierarchy.prolongators[lvl - 1]
+    h, c = chain.hierarchy, lvl - 1
     if coupling == "projection":
-        return b - prolong(P_l, restrict(P_l, b))
+        return b - h.transfer(h.transfer(b, lvl, c), c, lvl)
     state = chain.state
-    lam_c = assemble_lambda(chain.specs[lvl - 1], state.lam_v, state.lam_u)
-    x0_c = restrict(P_l, state.b) if state.b is not None else None
-    return b - prolong(P_l, _solve(chain, lvl - 1, lam_c, e1, restrict(P_l, e2), x0_c))
+    lam_c = assemble_lambda(chain.specs[c], state.lam_v, state.lam_u)
+    x0_c = h.transfer(state.b, lvl, c) if state.b is not None else None
+    return b - h.transfer(_solve(chain, c, lam_c, e1, h.transfer(e2, lvl, c), x0_c), c, lvl)
 
 
 def _pooled(chain, lvl, b, e1, e2):
@@ -338,7 +320,7 @@ def probe_levels(hierarchy, y, spec, config, stream, X_probe, n_draws, burn, cou
             # estimator hook: X_probe times the kept sample and, above level
             # 0, times each coupling's difference, interpolated to the finest
             def at(v):
-                return spmv(X_probe, hierarchy.interpolate_to_finest(v, lvl))
+                return spmv(X_probe, hierarchy.transfer(v, lvl, hierarchy.n_levels - 1))
 
             ys.append(at(b))
             if lvl >= 1:
@@ -397,20 +379,19 @@ def finalize_estimate(acc, hierarchy, X_eval):
     """Interpolate the accumulated coefficient sums to the finest space and
     multiply by X_eval once."""
     active = np.nonzero(acc.scheduled > 0)[0]
+    L = hierarchy.n_levels - 1
     for l in active:
         if acc.counts[l] == 0:
             raise EstimatorError(f"zero kept samples at scheduled level {l}")
     if acc.mode == "pooled":
         total = np.zeros(hierarchy.finest.n_cols)
         for l in active:
-            total += hierarchy.interpolate_to_finest(acc.level_sums[l], l)
+            total += hierarchy.transfer(acc.level_sums[l], l, L)
         coef = total / acc.counts[active].sum()
     else:
         coef = np.zeros(hierarchy.finest.n_cols)
         for l in active:
-            coef += hierarchy.interpolate_to_finest(
-                acc.level_sums[l] / acc.counts[l], l
-            )
+            coef += hierarchy.transfer(acc.level_sums[l] / acc.counts[l], l, L)
     return spmv(X_eval, coef)
 
 

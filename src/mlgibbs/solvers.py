@@ -11,7 +11,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import NumericalError, SetupError
-from .hierarchy import prolong, restrict, restrict_diagonal
+from .hierarchy import restrict_diagonal
 from .sparse import gram_apply
 
 
@@ -104,7 +104,8 @@ def _cg(apply_A, x, r, stop, max_iter, precond):
 @dataclass
 class TwoLevelPreconditioner:
     apply_fine: object  # action of the fine-level Gram operator
-    prolongators: list  # coarse-to-fine chain below the target level
+    hierarchy: object = field(repr=False)
+    level: int  # the level whose Gram system it preconditions
     coarse_factor: tuple = field(repr=False)
 
     def __call__(self, r):
@@ -133,7 +134,8 @@ def build_two_level(hierarchy, level, shift_diag):
     X_l = hierarchy.matrices[level]
     return TwoLevelPreconditioner(
         apply_fine=lambda v: gram_apply(X_l, shift_diag, v),
-        prolongators=chain,
+        hierarchy=hierarchy,
+        level=level,
         coarse_factor=factor,
     )
 
@@ -142,10 +144,7 @@ def precond_apply(M, r):
     """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the
     prolongated exact coarse correction."""
     z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
-    resid = r - M.apply_fine(z)
-    for P in reversed(M.prolongators):
-        resid = restrict(P, resid)
-    yc = cho_solve(M.coarse_factor, resid)
-    for P in M.prolongators:
-        yc = prolong(P, yc)
-    return z + yc
+    resid = M.hierarchy.transfer(r - M.apply_fine(z), M.level, 0)
+    # cho_factor checked G0, and the smoother raises NumericalError on a non-finite r
+    yc = cho_solve(M.coarse_factor, resid, check_finite=False)
+    return z + M.hierarchy.transfer(yc, 0, M.level)

@@ -5,6 +5,7 @@ import pytest
 
 from mlgibbs import (
     ChainResult,
+    ConfigError,
     EstimatorError,
     GibbsState,
     MixedModelSpec,
@@ -186,7 +187,7 @@ class TestRunChain:
 
     def test_invalid_lengths(self, rng):
         X, _ = random_sparse(rng, 4, 3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             run_chain(X, np.zeros(4), MixedModelSpec(0, 3), 5, 5, None,
                       RandomStream(0))
 

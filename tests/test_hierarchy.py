@@ -294,11 +294,37 @@ class TestBuildHierarchy:
             fine_path = spmv(h.matrices[l + 1], prolong(h.prolongators[l], v))
             assert np.allclose(coarse_path, fine_path, atol=1e-12)
 
-    def test_interpolate_to_finest(self, rng):
-        X = cluster_sparse(rng, 50, 10, 4, 6)
-        h = build_hierarchy(X, 0, (6, 15), 3)
-        v = rng.standard_normal(h.matrices[0].n_cols)
+    def test_transfer_up(self, three_levels):
+        h = three_levels
+        v = np.random.default_rng(1).standard_normal(h.matrices[0].n_cols)
         manual = v
         for P in h.prolongators:
             manual = prolong(P, manual)
-        assert np.array_equal(h.interpolate_to_finest(v, 0), manual)
+        assert np.array_equal(h.transfer(v, 0, 2), manual)
+
+    def test_transfer_down(self, three_levels):
+        h = three_levels
+        v = np.random.default_rng(2).standard_normal(h.finest.n_cols)
+        manual = v
+        for P in reversed(h.prolongators):
+            manual = restrict(P, manual)
+        assert np.array_equal(h.transfer(v, 2, 0), manual)
+
+    def test_transfer_same_level(self, three_levels):
+        h = three_levels
+        for l in range(h.n_levels):
+            v = np.random.default_rng(l).standard_normal(h.matrices[l].n_cols)
+            assert h.transfer(v, l, l) is v
+
+    def test_transfer_up_then_down(self, three_levels):
+        h = three_levels
+        v = np.random.default_rng(3).standard_normal(h.matrices[0].n_cols)
+        assert np.allclose(h.transfer(h.transfer(v, 0, 2), 2, 0), v, rtol=0, atol=1e-14)
+
+
+@pytest.fixture(scope="module")
+def three_levels():
+    X = cluster_sparse(np.random.default_rng(5), 50, 10, 5, 6)
+    h = build_hierarchy(X, 4, (5, 12), 3)
+    assert h.n_levels == 3
+    return h

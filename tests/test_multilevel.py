@@ -13,6 +13,7 @@ from mlgibbs import (
     LevelCost,
     MixedModelSpec,
     RandomStream,
+    SampleSchedule,
     SolverConfig,
     allocate_cost,
     allocate_variance,
@@ -79,6 +80,19 @@ class TestMakeSchedule:
             for lvl, cnt in s.visits:
                 per_level[lvl] += cnt
             assert per_level == [int(t) for t in s.totals]
+
+    def test_totals_sum_visits(self):
+        # the last V-cycle is partial: it stops after a 5-draw chunk
+        s = make_schedule("vcycle:10", 3, 75, 0)
+        assert s.visits[-2:] == [(2, 10), (1, 5)]
+        assert s.totals.tolist() == [20, 35, 20]
+        # fewer draws than levels leave the finest level at zero
+        s = make_schedule("consecutive", 3, 2, 0)
+        assert s.visits == [(0, 1), (1, 1)]
+        assert s.totals.tolist() == [1, 1, 0]
+        s = SampleSchedule([(2, 5), (0, 3), (2, 4)], 4, burn_in=0)
+        assert s.totals.dtype == np.int64
+        assert s.totals.tolist() == [3, 0, 9, 0]
 
     def test_small_chunk_warns(self):
         with pytest.warns(UserWarning, match="chunk size"):
