@@ -642,9 +642,9 @@ class TestCli:
         (["--fixed", "-1"], None),
         (["--seed", "-1"], None),
         (["--cg-tol", "-1"], None),
-        (["--cg-tol", "1"], None),
         (["--cg-max-iter", "-3"], None),
         (["--sampler", "ml", "--alloc", "var"], {"pilot": 1}),
+        (["--cg-tol", "1"], None),
     ])
     def test_out_of_range_values(self, tmp_path, capsys, args, config):
         data = self._write_data(tmp_path)
