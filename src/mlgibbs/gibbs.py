@@ -7,6 +7,7 @@ conjugate gamma updates.
 """
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -106,7 +107,7 @@ def solve_noise_system(X, y, tau, lam, e1, e2, config, precond=None, x0=None):
     rhs = spmv_t(X, y + e1) + e2 / tau
     shift = lam / tau
     return cg_solve(
-        lambda v: gram_apply(X, shift, v),
+        partial(gram_apply, X, shift),
         rhs,
         x0=x0,
         tol=config.tol,

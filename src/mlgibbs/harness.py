@@ -2,6 +2,7 @@
 experiment orchestration."""
 
 import json
+import math
 import numbers
 import os
 import time
@@ -29,7 +30,7 @@ from .multilevel import (
 )
 from .rng import RandomStream
 from .solvers import SolverConfig
-from .sparse import from_dense, from_triplets, row_subset, spmv
+from .sparse import _from_arrays, from_dense, row_subset, spmv
 
 
 SAMPLER_KINDS = ("gibbs", "ml", "mlcss", "mlcsp")
@@ -54,12 +55,18 @@ def load_matrix(path, fmt=None):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+_MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
+
+
 def _load_matrix_market(path):
+    """Coordinate real general MatrixMarket file. The header is walked line
+    by line up to the size line; the entries are parsed by one numpy call
+    and checked as arrays. Duplicate entries are summed in file order."""
     with open(path) as fh:
-        lines = fh.readlines()
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
     dims = None
-    entries = []
-    expected = None
     for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if lineno == 1 and line.startswith("%%MatrixMarket"):
@@ -72,31 +79,52 @@ def _load_matrix_market(path):
         if not line or line.startswith("%"):
             continue
         parts = line.split()
-        if dims is None:
-            if len(parts) != 3:
-                raise ParseError(f"expected 'rows cols nnz', got {line!r}", lineno)
-            try:
-                n_rows, n_cols, expected = (int(p) for p in parts)
-            except ValueError:
-                raise ParseError(f"non-integer size line {line!r}", lineno) from None
-            dims = (n_rows, n_cols)
-            continue
         if len(parts) != 3:
-            raise ParseError(f"expected 'row col value', got {line!r}", lineno)
+            raise ParseError(f"expected 'rows cols nnz', got {line!r}", lineno)
+        try:
+            n_rows, n_cols, expected = (int(p) for p in parts)
+        except ValueError:
+            raise ParseError(f"non-integer size line {line!r}", lineno) from None
+        dims = (n_rows, n_cols)
+        break
+    if dims is None:
+        raise ParseError("missing size line", len(lines))
+    body = lines[lineno:]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an entry block may be empty
+            entries = np.loadtxt(body, dtype=_MM_ENTRY, comments="%", ndmin=1)
+    except ValueError as exc:
+        raise _entry_error(body, lineno, dims, str(exc)) from None
+    rows, cols, vals = entries["row"], entries["col"], entries["value"]
+    in_range = (rows >= 1) & (rows <= n_rows) & (cols >= 1) & (cols <= n_cols)
+    if not (in_range.all() and np.isfinite(vals).all()):
+        raise _entry_error(body, lineno, dims, "out-of-range or non-finite entry")
+    if vals.size != expected:
+        raise ParseError(f"declared {expected} entries, found {vals.size}", len(lines))
+    return _from_arrays(n_rows, n_cols, rows - 1, cols - 1, vals)
+
+
+def _entry_error(body, offset, dims, message):
+    """ParseError for the first malformed, out-of-range or non-finite
+    entry line of `body`, which starts after line `offset`; `message`,
+    with no line, if the scan finds none."""
+    for lineno, raw in enumerate(body, start=offset + 1):
+        line = raw.strip()
+        if not line or line.startswith("%"):
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            return ParseError(f"expected 'row col value', got {line!r}", lineno)
         try:
             i, j, v = int(parts[0]), int(parts[1]), float(parts[2])
         except ValueError:
-            raise ParseError(f"malformed entry {line!r}", lineno) from None
+            return ParseError(f"malformed entry {line!r}", lineno)
         if not (1 <= i <= dims[0] and 1 <= j <= dims[1]):
-            raise ParseError(f"index ({i}, {j}) out of range {dims}", lineno)
-        entries.append((i - 1, j - 1, v))
-    if dims is None:
-        raise ParseError("missing size line", len(lines))
-    if expected is not None and len(entries) != expected:
-        raise ParseError(
-            f"declared {expected} entries, found {len(entries)}", len(lines)
-        )
-    return from_triplets(dims[0], dims[1], entries)
+            return ParseError(f"index ({i}, {j}) out of range {dims}", lineno)
+        if not math.isfinite(v):
+            return ParseError(f"non-finite value {line!r}", lineno)
+    return ParseError(message)
 
 
 def _load_dense_csv(path):
@@ -104,28 +132,51 @@ def _load_dense_csv(path):
         dense = np.loadtxt(path, delimiter=",", ndmin=2)
     except ValueError as exc:
         raise ParseError(str(exc)) from exc
+    _check_finite(path, dense)
     return from_dense(dense)
+
+
+def _check_finite(path, values):
+    """Raise ParseError naming the first line of the comma-separated file
+    `path` that holds a nan or inf, if `values` (its parsed content) does."""
+    if np.isfinite(values).all():
+        return
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split("#", 1)[0].split(",")
+            if not all(math.isfinite(float(f)) for f in fields if f.strip()):
+                raise ParseError(f"{path}: non-finite value", lineno)
+    raise ParseError(f"{path}: non-finite value")
 
 
 MATRIX_FORMATS = {"matrix_market": _load_matrix_market, "dense_csv": _load_dense_csv}
 
 
 def save_matrix_market(path, A):
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real general\n")
-        fh.write(f"{A.n_rows} {A.n_cols} {A.nnz()}\n")
-        row_ids = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
-        for r, c, v in zip(row_ids, A.col_indices, A.values):
-            fh.write(f"{r + 1} {c + 1} {float(v)!r}\n")
+    """Coordinate real general MatrixMarket file; `%.17g` values read
+    back to the same bits."""
+    row_ids = np.repeat(np.arange(A.n_rows), np.diff(A.row_offsets))
+    np.savetxt(
+        path,
+        np.column_stack([row_ids + 1, A.col_indices + 1, A.values]),
+        fmt=["%d", "%d", "%.17g"],
+        header=(
+            "%%MatrixMarket matrix coordinate real general\n"
+            f"{A.n_rows} {A.n_cols} {A.nnz()}"
+        ),
+        comments="",
+    )
 
 
 def load_targets(path):
     try:
-        return np.loadtxt(path, delimiter=",", ndmin=1)
+        y = np.loadtxt(path, delimiter=",", ndmin=1)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    _check_finite(path, y)
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +411,12 @@ class MetricsReport:
                 f"RMSE        {self.rmse_mean:.3e} ({self.rmse_std:.3e})",
                 f"MAE         {self.mae_mean:.3e} ({self.mae_std:.3e})",
             ]
+            failed = [f for f in self.folds if f.error is not None]
+            if failed:
+                causes = "; ".join(f"fold {f.fold}: {f.error}" for f in failed)
+                lines.append(
+                    f"failed      {len(failed)} of {len(self.folds)} folds ({causes})"
+                )
         lines.append(f"CG unconv.  {self.cg_unconverged}")
         return "\n".join(lines)
 

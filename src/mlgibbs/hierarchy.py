@@ -29,11 +29,19 @@ class Prolongator:
     assignment: np.ndarray  # fine feature -> cluster id
     cluster_sizes: np.ndarray
 
+    @cached_property
+    def sqrt_sizes(self):
+        """sqrt(n_j) per cluster, computed once: `restrict` divides by it."""
+        return np.sqrt(self.cluster_sizes)
+
+    @cached_property
+    def sqrt_member_sizes(self):
+        """sqrt(n_j) of each fine feature's cluster: `prolong` divides by it."""
+        return np.sqrt(self.cluster_sizes[self.assignment])
+
     def to_dense(self):
         P = np.zeros((self.fine_dim, self.coarse_dim))
-        P[np.arange(self.fine_dim), self.assignment] = 1.0 / np.sqrt(
-            self.cluster_sizes[self.assignment]
-        )
+        P[np.arange(self.fine_dim), self.assignment] = 1.0 / self.sqrt_member_sizes
         return P
 
 
@@ -168,7 +176,7 @@ def coarsen(X, P):
     fine columns."""
     if X.n_cols != P.fine_dim:
         raise DimensionError(f"coarsen: n_cols={X.n_cols}, fine_dim={P.fine_dim}")
-    scale = 1.0 / np.sqrt(P.cluster_sizes)
+    scale = 1.0 / P.sqrt_sizes
     cols = P.assignment[X.col_indices]
     vals = X.values * scale[cols]
     rows = np.repeat(np.arange(X.n_rows), np.diff(X.row_offsets))
@@ -179,7 +187,7 @@ def prolong(P, v_coarse):
     v_coarse = np.asarray(v_coarse, dtype=np.float64)
     if v_coarse.size != P.coarse_dim:
         raise DimensionError(f"prolong: len(v)={v_coarse.size}, coarse_dim={P.coarse_dim}")
-    return v_coarse[P.assignment] / np.sqrt(P.cluster_sizes[P.assignment])
+    return v_coarse[P.assignment] / P.sqrt_member_sizes
 
 
 def restrict(P, v_fine):
@@ -187,7 +195,7 @@ def restrict(P, v_fine):
     if v_fine.size != P.fine_dim:
         raise DimensionError(f"restrict: len(v)={v_fine.size}, fine_dim={P.fine_dim}")
     sums = np.bincount(P.assignment, weights=v_fine, minlength=P.coarse_dim)
-    return sums / np.sqrt(P.cluster_sizes)
+    return sums / P.sqrt_sizes
 
 
 def restrict_diagonal(P, diag_fine):

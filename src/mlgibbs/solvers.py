@@ -5,10 +5,13 @@ which makes it a nonlinear operator; the outer iteration therefore
 switches to the flexible CG beta when a preconditioner is supplied.
 """
 
+import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError, SetupError
 from .hierarchy import restrict_diagonal
@@ -61,44 +64,46 @@ def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
 def _cg(apply_A, x, r, stop, max_iter, precond):
     """CG from iterate x with residual r (both updated in place) until
     ||r|| <= stop or max_iter iterations; returns (x, SolveReport)."""
-    # one r.r per iteration gives both the residual norm and plain CG's r.z
-    rr = float(r @ r)
-    res = np.sqrt(rr)
+    # one r.r per iteration gives both the residual norm and plain CG's r.z;
+    # scalars are Python floats and dot products ndarray.dot (the same ddot
+    # as `@`), which spares numpy's per-call overhead on small levels
+    rr = float(r.dot(r))
+    res = math.sqrt(rr)
     if res <= stop:
-        return x, SolveReport(0, float(res), True)
+        return x, SolveReport(0, res, True)
     z = precond(r) if precond is not None else r
     p = z.copy()
-    rz = float(r @ z) if precond is not None else rr
+    rz = float(r.dot(z)) if precond is not None else rr
     step = np.empty(x.size)  # scratch for alpha p and alpha Ap
     it = 0
     while it < max_iter:
         Ap = apply_A(p)
-        pAp = float(p @ Ap)
-        if not np.isfinite(pAp) or pAp <= 0.0:
+        pAp = float(p.dot(Ap))
+        if not math.isfinite(pAp) or pAp <= 0.0:
             raise NumericalError(f"CG breakdown at iteration {it}: p.Ap = {pAp}")
         alpha = rz / pAp
         x += np.multiply(p, alpha, out=step)
         r -= np.multiply(Ap, alpha, out=step)
         it += 1
-        rr = float(r @ r)
-        res = np.sqrt(rr)
-        if not np.isfinite(res):
+        rr = float(r.dot(r))
+        res = math.sqrt(rr)
+        if not math.isfinite(res):
             raise NumericalError(f"CG produced NaN at iteration {it}")
         if res <= stop:
-            return x, SolveReport(it, float(res), True)
+            return x, SolveReport(it, res, True)
         if precond is not None:
             # flexible CG: A-orthogonalize the new direction against the
             # previous one (the smoothed cycle is not a fixed linear map)
             z_new = precond(r)
-            beta = -float(z_new @ Ap) / pAp
-            rz = float(r @ z_new)
+            beta = -float(z_new.dot(Ap)) / pAp
+            rz = float(r.dot(z_new))
         else:
             z_new = r
             beta = rr / rz
             rz = rr
         p *= beta
         p += z_new
-    return x, SolveReport(it, float(res), False)
+    return x, SolveReport(it, res, False)
 
 
 @dataclass
@@ -133,7 +138,7 @@ def build_two_level(hierarchy, level, shift_diag):
         factor = cho_factor(G0)
     X_l = hierarchy.matrices[level]
     return TwoLevelPreconditioner(
-        apply_fine=lambda v: gram_apply(X_l, shift_diag, v),
+        apply_fine=partial(gram_apply, X_l, shift_diag),
         hierarchy=hierarchy,
         level=level,
         coarse_factor=factor,
@@ -145,6 +150,9 @@ def precond_apply(M, r):
     prolongated exact coarse correction."""
     z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
     resid = M.hierarchy.transfer(r - M.apply_fine(z), M.level, 0)
-    # cho_factor checked G0, and the smoother raises NumericalError on a non-finite r
-    yc = cho_solve(M.coarse_factor, resid, check_finite=False)
+    # the LAPACK solve behind cho_solve, without its wrapper: cho_factor
+    # checked G0, the smoother raises NumericalError on a non-finite r, and
+    # resid is a fresh vector that the solve may overwrite
+    c, lower = M.coarse_factor
+    yc, _ = dpotrs(c, resid, lower=lower, overwrite_b=True)
     return z + M.hierarchy.transfer(yc, 0, M.level)

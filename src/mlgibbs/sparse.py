@@ -131,13 +131,18 @@ def gram_apply(A, diag_shift, x):
     """(A.T A + diag(diag_shift)) @ x, the SPD operator of the sampler."""
     diag_shift = np.asarray(diag_shift, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
-    n = A.csr.shape[1]
+    csr, csr_t = A.csr, A.csr_t
+    m, n = csr.shape
     if diag_shift.size != n or x.size != n:
         raise DimensionError(
             f"gram_apply: len(shift)={diag_shift.size}, len(x)={x.size}, n_cols={n}"
         )
-    if (diag_shift <= 0).any():
+    # one reduce; `not min > 0` also rejects a NaN shift
+    if n and not diag_shift.min() > 0:
         raise DomainError("gram_apply: diag_shift must be strictly positive")
-    out = _matvec(A.csr_t, _matvec(A.csr, x))
+    Ax = np.zeros(m)
+    _sparsetools.csr_matvec(m, n, csr.indptr, csr.indices, csr.data, x, Ax)
+    out = np.zeros(n)
+    _sparsetools.csr_matvec(n, m, csr_t.indptr, csr_t.indices, csr_t.data, Ax, out)
     out += diag_shift * x
     return out

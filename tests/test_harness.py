@@ -14,6 +14,7 @@ from mlgibbs import (
     ParseError,
     RandomStream,
     from_dense,
+    from_triplets,
     spmv,
 )
 from mlgibbs import harness
@@ -95,6 +96,65 @@ class TestLoadMatrix:
         with pytest.raises(ParseError) as exc:
             load_matrix(p)
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize("entry, message", [
+        ("2 1.0 1.0", "malformed entry"),
+        ("2 1e0 1.0", "malformed entry"),
+        ("2 1", "expected 'row col value'"),
+        ("2 1 1.0 4", "expected 'row col value'"),
+        ("2 1 nan", "non-finite value"),
+        ("2 1 -inf", "non-finite value"),
+    ])
+    def test_bad_entry_names_its_line(self, tmp_path, entry, message):
+        p = tmp_path / "e.mtx"
+        p.write_text(f"% c\n2 2 3\n1 1 1.0\n\n% c\n{entry}\n2 2 1.0\n")
+        with pytest.raises(ParseError, match=message) as exc:
+            load_matrix(p)
+        assert exc.value.line == 6
+
+    def test_blank_and_comment_lines_among_entries(self, tmp_path):
+        p = tmp_path / "g.mtx"
+        p.write_text(
+            "%%MatrixMarket matrix coordinate real general\n% c\n2 3 4\n"
+            "1 3 1.5\n\n% between\n2 1 -2.0\n   \n1 3 0.25\n2 2 1e-3"
+        )
+        A = load_matrix(p)
+        assert np.array_equal(A.to_dense(), [[0, 0, 1.75], [-2, 1e-3, 0]])
+
+    def test_matches_per_line_reference(self, tmp_path, rng):
+        # the one-call parse against parsing line by line into from_triplets,
+        # which sums duplicates in file order
+        n = 300
+        rows, cols = rng.integers(1, 9, n), rng.integers(1, 7, n)
+        vals = rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n)
+        lines = ["%%MatrixMarket matrix coordinate real general", f"8 6 {n}"]
+        for i, j, v in zip(rows, cols, vals):
+            lines.append(f"{i} {j} {float(v)!r}")
+            if rng.random() < 0.1:
+                lines.append(str(rng.choice(["", "% c", "  "])))
+        p = tmp_path / "d.mtx"
+        p.write_text("\n".join(lines))
+        want = from_triplets(8, 6, list(zip(rows - 1, cols - 1, vals)))
+        got = load_matrix(p)
+        for a, b in ((got.values, want.values), (got.col_indices, want.col_indices),
+                     (got.row_offsets, want.row_offsets)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_csv(self, tmp_path, value):
+        p = tmp_path / "a.csv"
+        p.write_text(f"1,0\n0,{value}\n")
+        with pytest.raises(ParseError) as exc:
+            load_matrix(p)
+        assert exc.value.line == 2
+
+    @pytest.mark.parametrize("value", ["nan", "-inf"])
+    def test_non_finite_targets(self, tmp_path, value):
+        p = tmp_path / "y.txt"
+        p.write_text(f"1.0\n# c\n2.0\n{value}\n")
+        with pytest.raises(ParseError) as exc:
+            load_targets(p)
+        assert exc.value.line == 4
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -301,6 +361,17 @@ class TestRunExperiment:
         rep = run_experiment(cfg, X=X)
         assert all(f.error is not None for f in rep.folds)
         assert "failed      all 2 folds" in rep.to_text()
+
+    def test_partial_failure_named(self):
+        # a NaN entry breaks the CG solves of the fold that trains on it only
+        dense = small_experiment_matrix().to_dense()
+        dense[0, np.flatnonzero(dense[0])[0]] = np.nan
+        cfg = ExperimentConfig(sampler="gibbs", samples=30, burn_in=10, folds=2, seed=0)
+        rep = run_experiment(cfg, X=from_dense(dense))
+        failed = [f for f in rep.folds if f.error is not None]
+        assert len(failed) == 1 and rep.rmse_mean is not None
+        assert (f"failed      1 of 2 folds (fold {failed[0].fold}: {failed[0].error})"
+                in rep.to_text())
 
     def test_report_serialization(self):
         X = small_experiment_matrix()

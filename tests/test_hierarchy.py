@@ -185,6 +185,20 @@ class TestProlongRestrict:
         assert np.allclose(prolong(P, vc), D @ vc, atol=1e-14)
         assert np.allclose(restrict(P, vf), D.T @ vf, atol=1e-14)
 
+    def test_cached_square_roots_keep_the_formulas(self, rng):
+        # the same divisions as dividing by np.sqrt of the sizes per call
+        a = random_assignment(rng, 40, 7)
+        P = build_prolongator(a)
+        sizes = np.bincount(a)
+        vc = rng.standard_normal(7)
+        vf = rng.standard_normal(40)
+        for _ in range(2):  # first and cached use
+            assert np.array_equal(prolong(P, vc), vc[a] / np.sqrt(sizes[a]))
+            assert np.array_equal(
+                restrict(P, vf),
+                np.bincount(a, weights=vf, minlength=7) / np.sqrt(sizes),
+            )
+
     def test_restrict_diagonal(self, rng):
         P = build_prolongator(random_assignment(rng, 9, 4))
         d = rng.uniform(0.5, 2.0, 9)

@@ -126,6 +126,13 @@ class TestCgSolve:
         assert report.converged and report.iterations > 1
         assert len(products) == report.iterations
 
+    @pytest.mark.parametrize("max_iter", [None, 2])
+    def test_final_residual_norm_is_a_float(self, rng, max_iter):
+        B = rng.standard_normal((20, 20))
+        A = B @ B.T + np.eye(20)
+        _, report = cg_solve(lambda v: A @ v, rng.standard_normal(20), max_iter=max_iter)
+        assert type(report.final_residual_norm) is float
+
     def test_warm_start_exact(self, rng):
         B = rng.standard_normal((10, 10))
         A = B @ B.T + np.eye(10)

@@ -114,6 +114,11 @@ class TestGramApply:
         with pytest.raises(DomainError):
             gram_apply(A, [1.0, 0.0], [1, 1])
 
+    def test_nan_shift(self):
+        A = from_dense(np.eye(2))
+        with pytest.raises(DomainError):
+            gram_apply(A, [np.nan, 1.0], [1, 1])
+
     def test_dimension_error(self):
         A = from_dense(np.eye(2))
         with pytest.raises(DimensionError):
