@@ -5,6 +5,8 @@ The figures are fixed for these seeds, so a change to the RNG call order
 or to which draws a chain keeps shows here first.
 """
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,29 @@ def test_run_ml_gibbs_mixed_wcycle(problem):
                   [(5.3601387532049625, -24.820573592625742),
                    (0.9511808653274444, -17.091942927060607),
                    (0.27669405472540415, 25.46825355593634)])
+
+
+@pytest.mark.parametrize("sampler, kind, seed", [
+    (run_ml_gibbs, "vcycle:10", 22),
+    (partial(run_ml_cs, coupling="solves"), "vcycle:10", 23),
+    (partial(run_ml_cs, coupling="projection"), "vcycle:10", 23),
+    (run_ml_gibbs, "wcycle:10", 26),
+], ids=["ml_gibbs", "ml_cs_solves", "ml_cs_projection", "ml_gibbs_mixed_wcycle"])
+def test_preconditioned_matches_plain(problem, sampler, kind, seed):
+    # the oracle behind the preconditioned pins: both chains target the same
+    # conditional, so their level sums differ by solver rounding only
+    _, y, spec, h = problem
+    schedule = make_schedule(kind, 3, 100, 20)
+    plain, pre = (
+        sampler(h, y, spec, schedule, SolverConfig(), RandomStream(seed),
+                preconditioned=flag)
+        for flag in (False, True)
+    )
+    assert pre.counts.tolist() == plain.counts.tolist()
+    assert pre.cg_solves.tolist() == plain.cg_solves.tolist()
+    gaps = [np.linalg.norm(a - b) / np.linalg.norm(b)
+            for a, b in zip(pre.level_sums, plain.level_sums)]
+    assert max(gaps) <= 1e-6, gaps
 
 
 def test_estimate_level_variances(problem):
