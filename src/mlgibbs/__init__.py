@@ -50,6 +50,7 @@ from .solvers import (
     TwoLevelPreconditioner,
     build_two_level,
     cg_solve,
+    factor_coarse,
     precond_apply,
 )
 from .sparse import (

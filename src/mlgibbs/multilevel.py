@@ -19,7 +19,7 @@ from .gibbs import (
     sample_hyperparams,
     solve_noise_system,
 )
-from .solvers import SolverConfig, build_two_level
+from .solvers import SolverConfig, build_two_level, factor_coarse
 from .sparse import spmv
 
 
@@ -225,13 +225,20 @@ class Chain:
     acc: EstimatorAccumulator
     preconditioned: bool = False
     state: GibbsState = None
+    coarse_factor: tuple = None  # of the draw in hand, built on first use
 
 
 def _maybe_precond(chain, level, lam):
-    # the coarsest level has no coarser space; plain CG there
-    if not chain.preconditioned or level < 1:
+    # a one-level hierarchy has no coarse space; plain CG there
+    if not chain.preconditioned or chain.hierarchy.n_levels < 2:
         return None
-    return build_two_level(chain.hierarchy, level, lam / chain.state.tau)
+    state = chain.state
+    if chain.coarse_factor is None:
+        # Lambda_0/tau: the level-l shift restricted to level 0, since no
+        # cluster mixes fixed and random columns
+        lam0 = assemble_lambda(chain.specs[0], state.lam_v, state.lam_u)
+        chain.coarse_factor = factor_coarse(chain.hierarchy, lam0 / state.tau)
+    return build_two_level(chain.hierarchy, level, lam / state.tau, chain.coarse_factor)
 
 
 def _solve(chain, level, lam, e1, e2, x0):
@@ -253,6 +260,7 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     updates the hyperparameters (all but the very first draw), draws the
     noise and does one ridge solve, which acc counts at its level. Only
     kept draws reach the estimator hook, on_kept(chain, level, b, e1, e2).
+    Preconditioned, every solve of a draw shares one coarse factor.
     """
     chain = Chain(hierarchy, y, _level_specs(hierarchy, spec), config or SolverConfig(),
                   acc, preconditioned)
@@ -268,6 +276,7 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
                 state.tau, state.lam_v, state.lam_u = sample_hyperparams(
                     state, X_l, y, spec_l, stream
                 )
+            chain.coarse_factor = None
             lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
             e1, e2 = draw_noise(X_l, state.tau, lam, stream)
             b = _solve(chain, lvl, lam, e1, e2, state.b)

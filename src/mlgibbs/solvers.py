@@ -2,7 +2,9 @@
 
 The two-level preconditioner uses a fixed number of CG smoothing steps,
 which makes it a nonlinear operator; the outer iteration therefore
-switches to the flexible CG beta when a preconditioner is supplied.
+switches to the flexible CG beta when a preconditioner is supplied. At
+the coarsest level the preconditioner is the exact solve with the dense
+coarse factor, so flexible CG converges there in one iteration.
 """
 
 import math
@@ -117,42 +119,56 @@ class TwoLevelPreconditioner:
         return precond_apply(self, r)
 
 
-def build_two_level(hierarchy, level, shift_diag):
-    """Two-level preconditioner for the Gram system at `level`: CG
-    pre-smoothing plus an exact coarsest-level correction."""
-    if level < 1 or level >= hierarchy.n_levels:
-        raise SetupError(f"no coarse space below level {level}")
+def factor_coarse(hierarchy, shift0):
+    """Cholesky factor (cho_factor's (c, lower)) of the coarsest-level
+    system X_0^T X_0 + diag(shift0)."""
     X0 = hierarchy.matrices[0]
     if X0.n_cols > DENSE_CAP:
         raise SetupError(f"coarse width {X0.n_cols} exceeds dense cap {DENSE_CAP}")
-    shift_diag = np.asarray(shift_diag, dtype=np.float64)
-    chain = hierarchy.prolongators[:level]
-    shift0 = shift_diag
-    for P in reversed(chain):
-        shift0 = restrict_diagonal(P, shift0)
     G0 = hierarchy.coarse_gram + np.diag(shift0)
     try:
-        factor = cho_factor(G0)
+        return cho_factor(G0)
     except np.linalg.LinAlgError:
         G0 = G0 + np.eye(G0.shape[0]) * (1e-12 * np.trace(G0) / G0.shape[0])
-        factor = cho_factor(G0)
+        return cho_factor(G0)
+
+
+def build_two_level(hierarchy, level, shift_diag, coarse_factor=None):
+    """Two-level preconditioner for the Gram system at `level`: CG
+    pre-smoothing plus an exact coarsest-level correction; at level 0 the
+    exact coarse solve alone.
+
+    coarse_factor is a factor_coarse of the coarsest system; without it the
+    coarse shift is shift_diag restricted down to level 0."""
+    if hierarchy.n_levels < 2 or not 0 <= level < hierarchy.n_levels:
+        raise SetupError(f"no coarse space for level {level}")
+    shift_diag = np.asarray(shift_diag, dtype=np.float64)
+    if coarse_factor is None:
+        shift0 = shift_diag
+        for P in reversed(hierarchy.prolongators[:level]):
+            shift0 = restrict_diagonal(P, shift0)
+        coarse_factor = factor_coarse(hierarchy, shift0)
     X_l = hierarchy.matrices[level]
     return TwoLevelPreconditioner(
         apply_fine=partial(gram_apply, X_l, shift_diag),
         hierarchy=hierarchy,
         level=level,
-        coarse_factor=factor,
+        coarse_factor=coarse_factor,
     )
 
 
 def precond_apply(M, r):
     """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the
-    prolongated exact coarse correction."""
-    z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
-    resid = M.hierarchy.transfer(r - M.apply_fine(z), M.level, 0)
+    prolongated exact coarse correction; at level 0 only the exact solve."""
     # the LAPACK solve behind cho_solve, without its wrapper: cho_factor
-    # checked G0, the smoother raises NumericalError on a non-finite r, and
-    # resid is a fresh vector that the solve may overwrite
+    # checked G0, and a non-finite r raises NumericalError in the smoother
+    # or, at level 0, in the CG step that follows
     c, lower = M.coarse_factor
+    if M.level == 0:
+        z, _ = dpotrs(c, r, lower=lower)
+        return z
+    z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
+    # resid is a fresh vector that the solve may overwrite
+    resid = M.hierarchy.transfer(r - M.apply_fine(z), M.level, 0)
     yc, _ = dpotrs(c, resid, lower=lower, overwrite_b=True)
     return z + M.hierarchy.transfer(yc, 0, M.level)

@@ -84,7 +84,8 @@ def _from_arrays(n_rows, n_cols, rows, cols, vals):
     key = key[order]
     vals = vals[order]
     uniq, inverse = np.unique(key, return_inverse=True)
-    summed = np.bincount(inverse, weights=vals)
+    # bincount returns int64 when there are no entries
+    summed = np.bincount(inverse, weights=vals).astype(np.float64, copy=False)
     row_offsets = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(uniq // n_cols, minlength=n_rows), out=row_offsets[1:])
     csr = sp.csr_matrix((summed, uniq % n_cols, row_offsets), shape=(n_rows, n_cols))

@@ -428,6 +428,7 @@ def in_range_config(draw):
     bounds = st.integers(1, 14)
     return {
         "sampler": draw(st.sampled_from(["gibbs", "ml", "mlcss", "mlcsp"])),
+        "preconditioned": draw(st.booleans()),
         "samples": draw(st.integers(burn_in + 1, 20)),
         "burn_in": burn_in,
         "levels": draw(st.integers(1, 4)),

@@ -373,3 +373,81 @@ class TestMultilevelRuns:
                             coupling=coupling)
             assert acc.cg_unconverged.tolist() == [0, 0, 0]
             assert acc.cg_solves.min() > 0
+
+
+class TestPreconditionedChain:
+    @pytest.fixture()
+    def mixed(self, rng):
+        X = cluster_sparse(rng, 60, 12, 6, 6)
+        y = rng.standard_normal(60)
+        h = build_hierarchy(X, 6, (5, 15), 3)
+        assert h.n_levels == 3 and min(h.group_boundaries) > 0
+        return h, y, MixedModelSpec(6, X.n_cols - 6)
+
+    def test_one_coarse_factor_per_draw(self, mixed, monkeypatch):
+        from mlgibbs import solvers
+
+        h, y, spec = mixed
+        calls = []
+        real = solvers.cho_factor
+
+        def counting(G):
+            calls.append(G.shape)
+            return real(G)
+
+        monkeypatch.setattr(solvers, "cho_factor", counting)
+        schedule = make_schedule("vcycle:10", 3, 100, 20)
+        acc = run_ml_cs(h, y, spec, schedule, SolverConfig(), RandomStream(3),
+                        coupling="solves", preconditioned=True)
+        # the coupled solves of the 60 kept draws above level 0 share the
+        # factor of their draw
+        assert acc.cg_solves.sum() == 100 + 60
+        assert calls == [(h.widths()[0],) * 2] * 100
+
+    def test_coarse_shift_is_restricted_shift(self, mixed):
+        from mlgibbs.gibbs import assemble_lambda
+        from mlgibbs.hierarchy import restrict_diagonal
+
+        h, _, spec = mixed
+        tau, lam_v, lam_u = 0.37, 2.9, 0.011
+        specs = [spec.at_width(gb, w - gb) for gb, w in zip(h.group_boundaries, h.widths())]
+        shift0 = assemble_lambda(specs[0], lam_v, lam_u) / tau
+        for level in (1, 2):
+            restricted = assemble_lambda(specs[level], lam_v, lam_u) / tau
+            for P in reversed(h.prolongators[:level]):
+                restricted = restrict_diagonal(P, restricted)
+            np.testing.assert_allclose(shift0, restricted, rtol=1e-14, atol=0)
+
+    def test_one_level_unchanged(self, rng, monkeypatch):
+        from mlgibbs import solvers
+
+        X = cluster_sparse(rng, 40, 8, 5, 6)
+        y = rng.standard_normal(40)
+        h = build_hierarchy(X, 0, (5, 15), 1)
+        spec = MixedModelSpec(0, X.n_cols)
+        schedule = make_schedule("consecutive", 1, 50, 10)
+        plain = run_ml_gibbs(h, y, spec, schedule, SolverConfig(), RandomStream(8))
+
+        def no_factor(G):
+            raise AssertionError("a one-level chain factors its Gram matrix")
+
+        monkeypatch.setattr(solvers, "cho_factor", no_factor)
+        for run in (run_ml_gibbs, run_ml_cs):
+            pre = run(h, y, spec, schedule, SolverConfig(), RandomStream(8),
+                      preconditioned=True)
+            assert np.array_equal(pre.level_sums[0], plain.level_sums[0])
+            assert pre.cg_iters.tolist() == plain.cg_iters.tolist()
+
+    def test_coarsest_level_converges(self, mixed):
+        # plain CG stands in for the level-0 solves of a preconditioned chain
+        # before the coarsest level was solved exactly
+        h, y, spec = mixed
+        schedule = make_schedule("vcycle:10", 3, 100, 20)
+        plain, pre = (
+            run_ml_cs(h, y, spec, schedule, SolverConfig(max_iter=3), RandomStream(3),
+                      coupling="solves", preconditioned=flag)
+            for flag in (False, True)
+        )
+        assert plain.cg_unconverged[0] > 0
+        assert pre.cg_unconverged[0] == 0
+        assert pre.cg_iters[0] == pre.cg_solves[0]

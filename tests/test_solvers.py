@@ -1,5 +1,7 @@
 """Conjugate gradient and the two-level preconditioner."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,39 @@ class TestTwoLevelPreconditioner:
         )
         assert report.converged
         assert report.iterations == 1
+
+    def test_coarsest_level_exact(self, rng):
+        X = cluster_sparse(rng, 40, 8, 5, 6)
+        h = build_hierarchy(X, 0, (5, 15), 3)
+        X0 = h.matrices[0]
+        shift = rng.uniform(0.01, 1.0, X0.n_cols)
+        M = build_two_level(h, 0, shift)
+        rhs = rng.standard_normal(X0.n_cols)
+        x, report = cg_solve(lambda v: gram_apply(X0, shift, v), rhs, precond=M)
+        assert report.converged and report.iterations == 1
+        D0 = X0.to_dense()
+        want = np.linalg.solve(D0.T @ D0 + np.diag(shift), rhs)
+        assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_level_zero_needs_a_coarser_hierarchy(self, rng):
+        X = cluster_sparse(rng, 20, 4, 3, 5)
+        h = build_hierarchy(X, 0, (12, 12), 1)
+        with pytest.raises(SetupError):
+            build_two_level(h, 0, np.ones(X.n_cols))
+
+    def test_shared_coarse_factor(self, mixed_system):
+        h, shift, rhs = mixed_system
+        shift0 = shift
+        for P in reversed(h.prolongators):
+            shift0 = restrict_diagonal(P, shift0)
+        factor = solvers.factor_coarse(h, shift0)
+        M = build_two_level(h, 2, shift, factor)
+        assert M.coarse_factor is factor
+        # the same bits as a preconditioner that factors the restricted shift
+        apply_A = partial(gram_apply, h.finest, shift)
+        x, report = cg_solve(apply_A, rhs, tol=1e-10, precond=M)
+        want_x, want = cg_solve(apply_A, rhs, tol=1e-10, precond=build_two_level(h, 2, shift))
+        assert np.array_equal(x, want_x) and report == want
 
     def test_fewer_iterations_than_plain(self, rng):
         X, assignment, shift, G = ill_conditioned_gram(rng)

@@ -14,6 +14,7 @@ from mlgibbs import (
     spmv,
     spmv_t,
 )
+from mlgibbs.harness import load_matrix
 from conftest import random_sparse
 
 
@@ -36,6 +37,13 @@ class TestFromTriplets:
         assert A.nnz() == 0
         assert A.shape == (3, 4)
         assert np.array_equal(spmv(A, np.ones(4)), np.zeros(3))
+
+    def test_empty_values_are_float(self, tmp_path):
+        p = tmp_path / "empty.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n2 2 0\n")
+        for A in (load_matrix(p), from_dense(np.zeros((2, 2))), from_triplets(2, 2, [])):
+            assert A.nnz() == 0
+            assert A.values.dtype == np.float64
 
     def test_out_of_range_reports_entry(self):
         with pytest.raises(IndexError, match=r"\(2, 0, 1.0\)"):
