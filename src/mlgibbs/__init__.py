@@ -50,7 +50,6 @@ from .solvers import (
     TwoLevelPreconditioner,
     build_two_level,
     cg_solve,
-    factor_coarse,
     precond_apply,
 )
 from .sparse import (

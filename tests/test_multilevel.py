@@ -399,9 +399,9 @@ class TestPreconditionedChain:
         schedule = make_schedule("vcycle:10", 3, 100, 20)
         acc = run_ml_cs(h, y, spec, schedule, SolverConfig(), RandomStream(3),
                         coupling="solves", preconditioned=True)
-        # the coupled solves of the 60 kept draws above level 0 share the
-        # factor of their draw
-        assert acc.cg_solves.sum() == 100 + 60
+        # each kept draw above level 0 makes a coupled solve, which shares
+        # the factor of its draw
+        assert acc.cg_solves.sum() == 100 + acc.counts[1:].sum() > 100
         assert calls == [(h.widths()[0],) * 2] * 100
 
     def test_coarse_shift_is_restricted_shift(self, mixed):
@@ -439,8 +439,8 @@ class TestPreconditionedChain:
             assert pre.cg_iters.tolist() == plain.cg_iters.tolist()
 
     def test_coarsest_level_converges(self, mixed):
-        # plain CG stands in for the level-0 solves of a preconditioned chain
-        # before the coarsest level was solved exactly
+        # three CG iterations leave some plain level-0 solves unconverged; the
+        # exact coarse solve converges each in one
         h, y, spec = mixed
         schedule = make_schedule("vcycle:10", 3, 100, 20)
         plain, pre = (
