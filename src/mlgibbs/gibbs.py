@@ -116,13 +116,11 @@ def solve_noise_system(X, y, tau, lam, e1, e2, config, precond=None, x0=None):
     )
 
 
-def draw_coefficient(X, y, state, spec, config, stream, precond=None):
+def draw_coefficient(X, y, state, spec, config, stream):
     """One noise-injection coefficient draw; returns (b, SolveReport)."""
     lam = assemble_lambda(spec, state.lam_v, state.lam_u)
     e1, e2 = draw_noise(X, state.tau, lam, stream)
-    return solve_noise_system(
-        X, y, state.tau, lam, e1, e2, config, precond=precond, x0=state.b
-    )
+    return solve_noise_system(X, y, state.tau, lam, e1, e2, config, x0=state.b)
 
 
 def run_chain(X, y, spec, H, H_burn_in, config, stream, trace=False):

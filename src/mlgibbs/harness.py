@@ -15,6 +15,7 @@ from .errors import ConfigError, MlgibbsError, ParseError
 from .gibbs import MixedModelSpec
 from .hierarchy import LevelHierarchy, build_hierarchy
 from .multilevel import (
+    COUPLING_KINDS,
     LevelCost,
     allocate_cost,
     allocate_variance,
@@ -568,7 +569,7 @@ def run_experiment(config, X=None, y=None, truth_coef=None):
 
 def level_variance_report(
     hierarchy, y, spec, config, stream, n_draws=200, burn=50,
-    probe_indices=None, couplings=("solves", "projection"),
+    probe_indices=None, couplings=COUPLING_KINDS,
 ):
     """Per-level sample variances of predicted observations and of the
     coupled cross-level differences, at the probed observation indices.
@@ -599,7 +600,7 @@ def level_variance_csv(report, path):
         fh.write("quantity,level," + ",".join(f"y{p}" for p in probes) + "\n")
         for l, v in enumerate(report["levels"]):
             fh.write(f"var_y,{l}," + ",".join(f"{x:.10e}" for x in v) + "\n")
-        for c in ("solves", "projection"):
+        for c in COUPLING_KINDS:
             if c in report:
                 for i, v in enumerate(report[c], start=1):
                     fh.write(

@@ -22,6 +22,10 @@ from .gibbs import (
 from .solvers import SolverConfig, build_two_level, factor_coarse
 from .sparse import spmv
 
+# how a telescoping chain couples level l to level l-1: a second solve, or
+# the projection of the level-l draw
+COUPLING_KINDS = ("solves", "projection")
+
 
 @dataclass
 class SampleSchedule:
@@ -34,7 +38,6 @@ class SampleSchedule:
     visits: list  # [(level, chunk_size), ...]
     n_levels: int
     burn_in: int
-    level_change_burn: int = 0
     totals: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -63,7 +66,6 @@ class EstimatorAccumulator:
     mode: str  # "pooled" | "telescoping"
     level_sums: list
     counts: np.ndarray
-    scheduled: np.ndarray  # H_l per level, for finalize validation
     cg_iters: np.ndarray = None
     cg_solves: np.ndarray = None
     cg_unconverged: np.ndarray = None  # solves that stopped at max_iter
@@ -97,7 +99,7 @@ def parse_schedule(kind):
     return name, k
 
 
-def make_schedule(kind, levels, H_total, burn_in, level_change_burn=0):
+def make_schedule(kind, levels, H_total, burn_in):
     """Build the level visit schedule.
 
     kind: "consecutive", "vcycle:k" or "wcycle:k". Consecutive splits the
@@ -130,7 +132,7 @@ def make_schedule(kind, levels, H_total, burn_in, level_change_burn=0):
             (cycle[i % len(cycle)], min(k, H_post - start))
             for i, start in enumerate(range(0, H_post, k))
         ]
-    return SampleSchedule(visits, levels, burn_in, level_change_burn)
+    return SampleSchedule(visits, levels, burn_in)
 
 
 def _w_order(l):
@@ -187,25 +189,17 @@ def _level_specs(hierarchy, spec):
 
 def _visit_plan(schedule):
     """(level, count, keep) entries: the burn-in at the coarsest level, then
-    the visits, each split where the first level_change_burn draws after a
-    level change are dropped."""
-    plan = [(0, schedule.burn_in, False)] if schedule.burn_in > 0 else []
-    for lvl, cnt in (v for v in schedule.visits if v[1] > 0):
-        drop = min(schedule.level_change_burn, cnt) if plan and plan[-1][0] != lvl else 0
-        plan += [(lvl, drop, False), (lvl, cnt - drop, True)]
+    one kept entry per visit."""
+    plan = [(0, schedule.burn_in, False)] + [(lvl, cnt, True) for lvl, cnt in schedule.visits]
     return [entry for entry in plan if entry[1] > 0]
 
 
-def _new_accumulator(hierarchy, schedule=None, mode="pooled"):
+def _new_accumulator(hierarchy, mode="pooled"):
     n = hierarchy.n_levels
-    scheduled = np.zeros(n, dtype=np.int64)
-    if schedule is not None:
-        scheduled[: len(schedule.totals)] += schedule.totals
     return EstimatorAccumulator(
         mode=mode,
         level_sums=[np.zeros(m.n_cols) for m in hierarchy.matrices],
         counts=np.zeros(n, dtype=np.int64),
-        scheduled=scheduled,
         cg_iters=np.zeros(n, dtype=np.int64),
         cg_solves=np.zeros(n, dtype=np.int64),
         cg_unconverged=np.zeros(n, dtype=np.int64),
@@ -223,22 +217,14 @@ class Chain:
     specs: list
     config: SolverConfig
     acc: EstimatorAccumulator
-    preconditioned: bool = False
     state: GibbsState = None
-    coarse_factor: tuple = None  # of the draw in hand, built on first use
+    coarse_factor: tuple = None  # of the draw in hand when preconditioned
 
 
 def _maybe_precond(chain, level, lam):
-    # a one-level hierarchy has no coarse space; plain CG there
-    if not chain.preconditioned or chain.hierarchy.n_levels < 2:
-        return None
-    state = chain.state
     if chain.coarse_factor is None:
-        # Lambda_0/tau: the level-l shift restricted to level 0, since no
-        # cluster mixes fixed and random columns
-        lam0 = assemble_lambda(chain.specs[0], state.lam_v, state.lam_u)
-        chain.coarse_factor = factor_coarse(chain.hierarchy, lam0 / state.tau)
-    return build_two_level(chain.hierarchy, level, lam / state.tau, chain.coarse_factor)
+        return None
+    return build_two_level(chain.hierarchy, level, lam / chain.state.tau, chain.coarse_factor)
 
 
 def _solve(chain, level, lam, e1, e2, x0):
@@ -260,10 +246,12 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     updates the hyperparameters (all but the very first draw), draws the
     noise and does one ridge solve, which acc counts at its level. Only
     kept draws reach the estimator hook, on_kept(chain, level, b, e1, e2).
-    Preconditioned, every solve of a draw shares one coarse factor.
+    Preconditioned, each draw factors the coarsest-level system once and
+    every solve of the draw shares that factor; a one-level hierarchy has
+    no coarse space and runs plain CG.
     """
-    chain = Chain(hierarchy, y, _level_specs(hierarchy, spec), config or SolverConfig(),
-                  acc, preconditioned)
+    chain = Chain(hierarchy, y, _level_specs(hierarchy, spec), config or SolverConfig(), acc)
+    precond = preconditioned and hierarchy.n_levels >= 2
     for lvl, count, keep in plan:
         X_l, spec_l = hierarchy.matrices[lvl], chain.specs[lvl]
         if chain.state is None:
@@ -276,7 +264,11 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
                 state.tau, state.lam_v, state.lam_u = sample_hyperparams(
                     state, X_l, y, spec_l, stream
                 )
-            chain.coarse_factor = None
+            if precond:
+                # Lambda_0/tau: the level-l shift restricted to level 0, since
+                # no cluster mixes fixed and random columns
+                lam0 = assemble_lambda(chain.specs[0], state.lam_v, state.lam_u)
+                chain.coarse_factor = factor_coarse(hierarchy, lam0 / state.tau)
             lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
             e1, e2 = draw_noise(X_l, state.tau, lam, stream)
             b = _solve(chain, lvl, lam, e1, e2, state.b)
@@ -319,7 +311,7 @@ def probe_levels(hierarchy, y, spec, config, stream, X_probe, n_draws, burn, cou
     """One chain per level, on stream.split(n_levels): burn discarded draws,
     then n_draws probed by X_probe. Returns per level the (n_draws, rows)
     array of predicted observations and {coupling: array of differences}."""
-    if not set(couplings) <= {"solves", "projection"}:
+    if not set(couplings) <= set(COUPLING_KINDS):
         raise ConfigError(f"unknown coupling in {couplings!r}")
     out = []
     for l, sub in enumerate(stream.split(hierarchy.n_levels)):
@@ -347,7 +339,7 @@ def run_pooled(hierarchy, y, spec, schedule, config, stream, preconditioned=Fals
     interpolating/restricting b across level changes and pooling all kept
     samples into per-level sums. With trace, acc.trace lists the
     (tau, lam_v, lam_u) of every draw, discarded ones included."""
-    acc, plan = _new_accumulator(hierarchy, schedule, "pooled"), _visit_plan(schedule)
+    acc, plan = _new_accumulator(hierarchy, "pooled"), _visit_plan(schedule)
     acc.trace = [] if trace else None
     return run_levels(hierarchy, y, spec, plan, config, stream, _pooled, acc, preconditioned)
 
@@ -377,29 +369,32 @@ def run_ml_cs(
     d_l = b_l - P_l P_l^T b_l without a second solve. Discarded draws make
     no coupled solve.
     """
-    if coupling not in ("solves", "projection"):
+    if coupling not in COUPLING_KINDS:
         raise ConfigError(f"unknown coupling {coupling!r}")
-    acc, plan = _new_accumulator(hierarchy, schedule, "telescoping"), _visit_plan(schedule)
+    acc, plan = _new_accumulator(hierarchy, "telescoping"), _visit_plan(schedule)
     hook = partial(_telescoping, coupling)
     return run_levels(hierarchy, y, spec, plan, config, stream, hook, acc, preconditioned)
 
 
 def finalize_estimate(acc, hierarchy, X_eval):
     """Interpolate the accumulated coefficient sums to the finest space and
-    multiply by X_eval once."""
-    active = np.nonzero(acc.scheduled > 0)[0]
+    multiply by X_eval once. EstimatorError when the pooled chain kept no
+    draw, or a telescoping sum misses a level."""
     L = hierarchy.n_levels - 1
-    for l in active:
-        if acc.counts[l] == 0:
-            raise EstimatorError(f"zero kept samples at scheduled level {l}")
+    kept = np.flatnonzero(acc.counts)
     if acc.mode == "pooled":
+        if kept.size == 0:
+            raise EstimatorError("zero kept samples on every level")
         total = np.zeros(hierarchy.finest.n_cols)
-        for l in active:
+        for l in kept:
             total += hierarchy.transfer(acc.level_sums[l], l, L)
-        coef = total / acc.counts[active].sum()
+        coef = total / acc.counts.sum()
     else:
+        if kept.size <= L:
+            missing = np.flatnonzero(acc.counts == 0).tolist()
+            raise EstimatorError(f"zero kept samples at telescoping level(s) {missing}")
         coef = np.zeros(hierarchy.finest.n_cols)
-        for l in active:
+        for l in kept:
             coef += hierarchy.transfer(acc.level_sums[l] / acc.counts[l], l, L)
     return spmv(X_eval, coef)
 

@@ -16,7 +16,6 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError, SetupError
-from .hierarchy import restrict_diagonal
 from .sparse import gram_apply
 
 
@@ -133,24 +132,16 @@ def factor_coarse(hierarchy, shift0):
         return cho_factor(G0)
 
 
-def build_two_level(hierarchy, level, shift_diag, coarse_factor=None):
+def build_two_level(hierarchy, level, shift_diag, coarse_factor):
     """Two-level preconditioner for the Gram system at `level`: CG
-    pre-smoothing plus an exact coarsest-level correction; at level 0 the
-    exact coarse solve alone.
-
-    coarse_factor is a factor_coarse of the coarsest system; without it the
-    coarse shift is shift_diag restricted down to level 0."""
+    pre-smoothing plus an exact coarsest-level correction with
+    coarse_factor, a factor_coarse of the coarsest system; at level 0 the
+    exact coarse solve alone."""
     if hierarchy.n_levels < 2 or not 0 <= level < hierarchy.n_levels:
         raise SetupError(f"no coarse space for level {level}")
-    shift_diag = np.asarray(shift_diag, dtype=np.float64)
-    if coarse_factor is None:
-        shift0 = shift_diag
-        for P in reversed(hierarchy.prolongators[:level]):
-            shift0 = restrict_diagonal(P, shift0)
-        coarse_factor = factor_coarse(hierarchy, shift0)
     X_l = hierarchy.matrices[level]
     return TwoLevelPreconditioner(
-        apply_fine=partial(gram_apply, X_l, shift_diag),
+        apply_fine=partial(gram_apply, X_l, np.asarray(shift_diag, dtype=np.float64)),
         hierarchy=hierarchy,
         level=level,
         coarse_factor=coarse_factor,

@@ -33,7 +33,7 @@ from mlgibbs import (
     run_chain,
     sample_hyperparams,
 )
-from mlgibbs.hierarchy import LevelHierarchy
+from mlgibbs.hierarchy import LevelHierarchy, restrict_diagonal
 from mlgibbs.multilevel import (
     LevelCost,
     allocate_cost,
@@ -43,6 +43,7 @@ from mlgibbs.multilevel import (
     run_ml_cs,
     run_ml_gibbs,
 )
+from mlgibbs.solvers import factor_coarse
 from mlgibbs.harness import (
     ExperimentConfig,
     level_variance_report,
@@ -351,7 +352,7 @@ def test_criterion_12_preconditioned_cg():
         assert np.linalg.cond(G) >= 1e4
         P = build_prolongator(assignment)
         h = LevelHierarchy([coarsen(X, P), X], [P], [0, 0])
-        M = build_two_level(h, 1, shift)
+        M = build_two_level(h, 1, shift, factor_coarse(h, restrict_diagonal(P, shift)))
         rhs = rng.standard_normal(X.n_cols)
         apply_A = lambda v: gram_apply(X, shift, v)
         _, plain = cg_solve(apply_A, rhs, tol=1e-8, max_iter=20000)

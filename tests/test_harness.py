@@ -294,6 +294,10 @@ class TestExperimentConfig:
         assert cfg.samples == 100
 
 
+ZERO_ALLOCATION = dict(sampler="ml", levels=3, samples=31, burn_in=30,
+                       coarse_range=(5, 12), folds=2, seed=1, pilot=5)
+
+
 def small_experiment_matrix(seed=0):
     rng = np.random.default_rng(seed)
     return cluster_sparse(rng, 60, 10, 5, 8, amp=5.0)
@@ -373,6 +377,14 @@ class TestRunExperiment:
         assert (f"failed      1 of 2 folds (fold {failed[0].fold}: {failed[0].error})"
                 in rep.to_text())
 
+    @pytest.mark.parametrize("allocation", ["cost", "var"])
+    def test_all_zero_allocation_fails_typed(self, allocation):
+        # one draw after burn-in: both allocations round every level down
+        # to zero draws, so there is no estimate to report
+        X, _ = random_sparse(np.random.default_rng(0), 60, 40)
+        rep = run_experiment(ExperimentConfig(**ZERO_ALLOCATION, allocation=allocation), X=X)
+        assert all(f.error.startswith("EstimatorError") for f in rep.folds)
+
     def test_report_serialization(self):
         X = small_experiment_matrix()
         cfg = ExperimentConfig(sampler="gibbs", samples=60, burn_in=10,
@@ -413,6 +425,7 @@ class TestRunExperiment:
                 rep = run_experiment(ExperimentConfig(folds=2, **values), X=X)
             except MlgibbsError:
                 return
+        assert all(f.error is not None or np.isfinite(f.rmse) for f in rep.folds)
         rep.to_text()
         json.loads(rep.to_json())
 
@@ -740,3 +753,12 @@ class TestCli:
         out, err = capsys.readouterr()
         assert "failed      all 2 folds" in out
         assert err.startswith("error:") and "HierarchyError: cannot reach the range" in err
+
+    def test_all_zero_allocation_exits_1(self, tmp_path, capsys):
+        data = tmp_path / "X.mtx"
+        save_matrix_market(data, random_sparse(np.random.default_rng(0), 60, 40)[0])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**ZERO_ALLOCATION, "allocation": "cost"}))
+        assert main(["run", "--data", str(data), "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: no fold succeeded; fold 0: EstimatorError: ")

@@ -222,7 +222,7 @@ class TestFinalize:
         b = rng.standard_normal(3)
         acc = EstimatorAccumulator(
             mode="pooled", level_sums=[b.copy()],
-            counts=np.array([1]), scheduled=np.array([1]),
+            counts=np.array([1]),
             cg_iters=np.zeros(1, dtype=np.int64),
             cg_solves=np.ones(1, dtype=np.int64),
         )
@@ -233,7 +233,7 @@ class TestFinalize:
         h = identity_hierarchy(X, levels=2)
         acc = EstimatorAccumulator(
             mode="pooled", level_sums=[np.array([1.0]), np.array([3.0])],
-            counts=np.array([1, 1]), scheduled=np.array([1, 1]),
+            counts=np.array([1, 1]),
             cg_iters=np.zeros(2, dtype=np.int64),
             cg_solves=np.ones(2, dtype=np.int64),
         )
@@ -242,13 +242,32 @@ class TestFinalize:
     def test_zero_kept_raises(self):
         X = from_dense([[1.0]])
         h = identity_hierarchy(X, levels=2)
-        acc = EstimatorAccumulator(
-            mode="pooled", level_sums=[np.zeros(1), np.zeros(1)],
-            counts=np.array([1, 0]), scheduled=np.array([1, 5]),
-            cg_iters=np.zeros(2, dtype=np.int64),
-            cg_solves=np.ones(2, dtype=np.int64),
-        )
-        with pytest.raises(EstimatorError):
+        for mode, counts in (
+            ("pooled", [0, 0]),  # the pooled mean would be 0 / 0
+            ("telescoping", [1, 0]),  # the sum would stop short of the finest level
+            ("telescoping", [0, 1]),
+        ):
+            acc = EstimatorAccumulator(
+                mode=mode, level_sums=[np.zeros(1), np.zeros(1)],
+                counts=np.array(counts),
+                cg_iters=np.zeros(2, dtype=np.int64),
+                cg_solves=np.ones(2, dtype=np.int64),
+            )
+            with pytest.raises(EstimatorError):
+                finalize_estimate(acc, h, X)
+
+    def test_telescoping_short_schedule_raises(self, rng):
+        # a consecutive schedule of 2 kept draws over 3 levels keeps none at
+        # the finest level, so its telescoping sum would be a level-1 estimate
+        X = cluster_sparse(rng, 60, 12, 6, 6)
+        y = rng.standard_normal(60)
+        h = build_hierarchy(X, 0, (5, 15), 3)
+        assert h.n_levels == 3
+        acc = run_ml_cs(h, y, MixedModelSpec(0, X.n_cols),
+                        make_schedule("consecutive", 3, 32, 30), SolverConfig(),
+                        RandomStream(1))
+        assert acc.counts.tolist() == [1, 1, 0]
+        with pytest.raises(EstimatorError, match=r"\[2\]"):
             finalize_estimate(acc, h, X)
 
     def test_telescoping_matches_manual(self, rng):
@@ -259,7 +278,7 @@ class TestFinalize:
         acc = EstimatorAccumulator(
             mode="telescoping",
             level_sums=[2 * coarse, 3 * diff],
-            counts=np.array([2, 3]), scheduled=np.array([2, 3]),
+            counts=np.array([2, 3]),
             cg_iters=np.zeros(2, dtype=np.int64),
             cg_solves=np.ones(2, dtype=np.int64),
         )
@@ -291,20 +310,6 @@ class TestMultilevelRuns:
         for sa, sb in zip(a.level_sums, b.level_sums):
             assert np.array_equal(sa, sb)
 
-    def test_level_change_burn_skips(self, rng):
-        X = cluster_sparse(rng, 40, 8, 5, 6)
-        y = rng.standard_normal(40)
-        h = build_hierarchy(X, 0, (5, 15), 2)
-        schedule = make_schedule("consecutive", 2, 40, 10)
-        schedule.level_change_burn = 3
-        acc = run_ml_gibbs(
-            h, y, MixedModelSpec(0, X.n_cols), schedule, SolverConfig(),
-            RandomStream(4),
-        )
-        # 15 scheduled at the fine level, 3 dropped after the level change
-        assert acc.counts[1] == schedule.totals[1] - 3
-        assert acc.cg_solves.sum() == 40
-
     def test_preconditioned_same_estimate_family(self, rng):
         X = cluster_sparse(rng, 40, 8, 5, 6, jitter=0.01)
         dense = X.to_dense()
@@ -324,8 +329,8 @@ class TestMultilevelRuns:
 
     def test_cg_accounting_matches_solves(self, rng, monkeypatch):
         # every CG solve of the chain, coupled level l-1 solves included, is
-        # counted once at the level whose width its system has; a draw the
-        # chain discards after a level change makes no coupled solve
+        # counted once at the level whose width its system has; a burn-in
+        # draw, which the chain discards, makes no coupled solve
         import mlgibbs.gibbs as gibbs_mod
 
         seen = []
@@ -341,9 +346,9 @@ class TestMultilevelRuns:
         y = rng.standard_normal(60)
         h = build_hierarchy(X, 0, (5, 15), 3)
         assert h.n_levels == 3 and len(set(h.widths())) == 3
-        for kind, H, level_change_burn in (("consecutive", 60, 0), ("vcycle:10", 100, 3)):
+        for kind, H in (("consecutive", 60), ("vcycle:10", 100)):
             seen.clear()
-            schedule = make_schedule(kind, h.n_levels, H, 12, level_change_burn)
+            schedule = make_schedule(kind, h.n_levels, H, 12)
             acc = run_ml_cs(
                 h, y, MixedModelSpec(0, X.n_cols), schedule, SolverConfig(),
                 RandomStream(3), coupling="solves",
@@ -355,8 +360,7 @@ class TestMultilevelRuns:
             assert acc.cg_solves.sum() == len(seen)
             # one solve per draw, one coupled solve per kept draw above level 0
             assert len(seen) == H + acc.counts[1:].sum()
-            # the V-cycle changes level eight times, dropping 3 draws each
-            assert acc.counts.sum() == H - 12 - (24 if level_change_burn else 0)
+            assert acc.counts.sum() == H - 12
 
     def test_unconverged_solves_counted(self, rng):
         X = cluster_sparse(rng, 60, 12, 6, 6)

@@ -79,31 +79,21 @@ def test_run_ml_gibbs(problem, preconditioned, sums, cg_iters):
     assert_pinned([summary(v) for v in acc.level_sums], sums)
 
 
-@pytest.mark.parametrize("coupling, level_change_burn, sums, counts", [
-    ("solves", 0,
+@pytest.mark.parametrize("coupling, sums, counts", [
+    ("solves",
      [(1.3794728796009639, -2.1869024150618994),
       (3.4394565204193426, 0.2962624216568766),
       (2.5018403052990896, -1.706791245492437)],
      [20, 40, 20]),
-    ("solves", 3,
-     [(1.3875537254320003, -0.2691184858630469),
-      (2.0272933201301675, 0.16867963074505798),
-      (1.6809679477898183, -1.4321125982461682)],
-     [17, 28, 14]),
-    ("projection", 0,
+    ("projection",
      [(1.3794728796009639, -2.1869024150618994),
       (3.429261742115866, 0.43719847354679964),
       (2.501773326992814, -1.6693513794539783)],
      [20, 40, 20]),
-    ("projection", 3,
-     [(1.3875537254320003, -0.2691184858630469),
-      (2.0179004086932046, 0.2536618776159171),
-      (1.6808922302933618, -1.5248285698934763)],
-     [17, 28, 14]),
 ])
-def test_run_ml_cs(problem, coupling, level_change_burn, sums, counts):
+def test_run_ml_cs(problem, coupling, sums, counts):
     _, y, spec, h = problem
-    schedule = make_schedule("vcycle:10", 3, 100, 20, level_change_burn=level_change_burn)
+    schedule = make_schedule("vcycle:10", 3, 100, 20)
     acc = run_ml_cs(h, y, spec, schedule, SolverConfig(), RandomStream(23),
                     coupling=coupling)
     assert acc.counts.tolist() == counts

@@ -1,7 +1,5 @@
 """Conjugate gradient and the two-level preconditioner."""
 
-from functools import partial
-
 import numpy as np
 import pytest
 
@@ -35,6 +33,19 @@ def identity_hierarchy(X, levels=2):
         prolongators=[P] * (levels - 1),
         group_boundaries=[0] * levels,
     )
+
+
+def restricted_shift(h, level, shift):
+    """The level's shift restricted down to level 0."""
+    for P in reversed(h.prolongators[:level]):
+        shift = restrict_diagonal(P, shift)
+    return shift
+
+
+def two_level(h, level, shift):
+    """build_two_level with the coarse factor of the restricted shift."""
+    factor = solvers.factor_coarse(h, restricted_shift(h, level, shift))
+    return build_two_level(h, level, shift, factor)
 
 
 def ill_conditioned_gram(rng, n_rows=120, n_clusters=30, per=4,
@@ -150,23 +161,23 @@ class TestTwoLevelPreconditioner:
         X = cluster_sparse(rng, 20, 4, 3, 5)
         h = build_hierarchy(X, 0, (12, 12), 1)
         with pytest.raises(SetupError):
-            build_two_level(h, 1, np.ones(X.n_cols))
+            two_level(h, 1, np.ones(X.n_cols))
 
     def test_dense_cap(self, rng, monkeypatch):
         X = cluster_sparse(rng, 20, 4, 3, 5)
         h = identity_hierarchy(X)
         monkeypatch.setattr(solvers, "DENSE_CAP", 2)
         with pytest.raises(SetupError):
-            build_two_level(h, 1, np.ones(X.n_cols))
+            solvers.factor_coarse(h, np.ones(X.n_cols))
 
     def test_zero_residual(self, rng):
         X = cluster_sparse(rng, 20, 4, 3, 5)
-        M = build_two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
+        M = two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
         assert np.allclose(precond_apply(M, np.zeros(X.n_cols)), 0.0)
 
     def test_smoother_breakdown_raises(self, rng):
         X = cluster_sparse(rng, 20, 4, 3, 5)
-        M = build_two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
+        M = two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
         M.apply_fine = lambda v: -v  # indefinite: the first p.Ap is negative
         with pytest.raises(NumericalError):
             precond_apply(M, np.ones(X.n_cols))
@@ -174,7 +185,7 @@ class TestTwoLevelPreconditioner:
     def test_identity_prolongator_exact(self, rng):
         X = cluster_sparse(rng, 25, 5, 3, 6)
         shift = np.full(X.n_cols, 0.5)
-        M = build_two_level(identity_hierarchy(X), 1, shift)
+        M = two_level(identity_hierarchy(X), 1, shift)
         rhs = np.random.default_rng(0).standard_normal(X.n_cols)
         x, report = cg_solve(
             lambda v: gram_apply(X, shift, v), rhs, precond=M, tol=1e-10
@@ -187,7 +198,7 @@ class TestTwoLevelPreconditioner:
         h = build_hierarchy(X, 0, (5, 15), 3)
         X0 = h.matrices[0]
         shift = rng.uniform(0.01, 1.0, X0.n_cols)
-        M = build_two_level(h, 0, shift)
+        M = two_level(h, 0, shift)
         rhs = rng.standard_normal(X0.n_cols)
         x, report = cg_solve(lambda v: gram_apply(X0, shift, v), rhs, precond=M)
         assert report.converged and report.iterations == 1
@@ -199,27 +210,13 @@ class TestTwoLevelPreconditioner:
         X = cluster_sparse(rng, 20, 4, 3, 5)
         h = build_hierarchy(X, 0, (12, 12), 1)
         with pytest.raises(SetupError):
-            build_two_level(h, 0, np.ones(X.n_cols))
-
-    def test_shared_coarse_factor(self, mixed_system):
-        h, shift, rhs = mixed_system
-        shift0 = shift
-        for P in reversed(h.prolongators):
-            shift0 = restrict_diagonal(P, shift0)
-        factor = solvers.factor_coarse(h, shift0)
-        M = build_two_level(h, 2, shift, factor)
-        assert M.coarse_factor is factor
-        # the same bits as a preconditioner that factors the restricted shift
-        apply_A = partial(gram_apply, h.finest, shift)
-        x, report = cg_solve(apply_A, rhs, tol=1e-10, precond=M)
-        want_x, want = cg_solve(apply_A, rhs, tol=1e-10, precond=build_two_level(h, 2, shift))
-        assert np.array_equal(x, want_x) and report == want
+            two_level(h, 0, np.ones(X.n_cols))
 
     def test_fewer_iterations_than_plain(self, rng):
         X, assignment, shift, G = ill_conditioned_gram(rng)
         P = build_prolongator(assignment)
         h = LevelHierarchy([coarsen(X, P), X], [P], [0, 0])
-        M = build_two_level(h, 1, shift)
+        M = two_level(h, 1, shift)
         rhs = rng.standard_normal(X.n_cols)
         apply_A = lambda v: gram_apply(X, shift, v)
         x_plain, rep_plain = cg_solve(apply_A, rhs, tol=1e-8, max_iter=20000)
@@ -362,8 +359,11 @@ class TestBitIdentity:
         X = h.matrices[level]
         shift = np.where(np.arange(X.n_cols) < h.group_boundaries[level], 0.02, 0.7)
         b = rhs[: X.n_cols]
-        M = build_two_level(h, level, shift)
         ref_precond, factor = reference_two_level(h, level, shift)
+        coarse_factor = solvers.factor_coarse(h, restricted_shift(h, level, shift))
+        M = build_two_level(h, level, shift, coarse_factor)
+        # the preconditioner shares the factor it is given
+        assert M.coarse_factor is coarse_factor
         assert np.array_equal(M.coarse_factor[0], factor[0])
         want = reference_cg(reference_gram(X, shift), b, b, 1e-10, max_iter, ref_precond)
         got = cg_solve(lambda v: gram_apply(X, shift, v), b, b, 1e-10, max_iter, M)
@@ -382,7 +382,6 @@ class TestBitIdentity:
         for h in (LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries),
                   LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries)):
             for scale in (1.0, 2.0, 0.5):
-                build_two_level(h, 2, shift * scale)
-                build_two_level(h, 1, restrict_diagonal(h.prolongators[1], shift))
+                solvers.factor_coarse(h, restricted_shift(h, 2, shift * scale))
         assert calls == [h0.matrices[0]] * 2
         assert not h.coarse_gram.flags.writeable
