@@ -34,7 +34,6 @@ from .hierarchy import (
 )
 from .multilevel import (
     EstimatorAccumulator,
-    LevelCost,
     SampleSchedule,
     allocate_cost,
     allocate_variance,

@@ -69,6 +69,9 @@ def cmd_run(args):
     # one load of the inputs serves the experiment and the level variances,
     # which draw from the seed's child stream 2
     X, y, truth, spec, streams = prepare_experiment(cfg)
+    if args.level_variance and cfg.sampler == "gibbs":
+        print("--level-variance needs a multilevel sampler", file=sys.stderr)
+        return 2
     report = run_experiment(cfg, X, y, truth)
     print(report.to_text())
     if args.report:
@@ -78,9 +81,6 @@ def cmd_run(args):
     if all(f.error is not None for f in report.folds):
         raise EstimatorError(f"no fold succeeded; fold 0: {report.folds[0].error}")
     if args.level_variance:
-        if cfg.sampler == "gibbs":
-            print("--level-variance needs a multilevel sampler", file=sys.stderr)
-            return 2
         hierarchy = build_hierarchy(
             X, cfg.n_fixed, cfg.coarse_range_for(X.n_cols), cfg.levels
         )

@@ -42,6 +42,10 @@ class MixedModelSpec:
         return replace(self, n_fixed=n_fixed, n_random=n_random)
 
 
+# MixedModelSpec's gamma prior parameters, whose defaults are the package's
+PRIOR_FIELDS = ("alpha_e", "beta_e", "alpha_v", "beta_v", "alpha_u", "beta_u")
+
+
 @dataclass
 class GibbsState:
     b: np.ndarray

@@ -12,11 +12,10 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .errors import ConfigError, MlgibbsError, ParseError
-from .gibbs import MixedModelSpec
+from .gibbs import PRIOR_FIELDS, MixedModelSpec
 from .hierarchy import LevelHierarchy, build_hierarchy
 from .multilevel import (
     COUPLING_KINDS,
-    LevelCost,
     allocate_cost,
     allocate_variance,
     estimate_level_variances,
@@ -36,7 +35,7 @@ from .sparse import _from_arrays, from_dense, row_subset, spmv
 
 SAMPLER_KINDS = ("gibbs", "ml", "mlcss", "mlcsp")
 ALLOCATIONS = ("equal", "cost", "var")
-COUPLINGS = {"mlcss": "solves", "mlcsp": "projection"}
+COUPLINGS = dict(zip(("mlcss", "mlcsp"), COUPLING_KINDS))
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +232,12 @@ class ExperimentConfig:
     data_format: str = None
     targets_path: str | os.PathLike = None
     n_fixed: int = 0
-    alpha_e: float = 1.0
-    beta_e: float = 1.0
-    alpha_v: float = 1.0
-    beta_v: float = 1e-3
-    alpha_u: float = 1.0
-    beta_u: float = 1e-3
+    alpha_e: float = MixedModelSpec.alpha_e
+    beta_e: float = MixedModelSpec.beta_e
+    alpha_v: float = MixedModelSpec.alpha_v
+    beta_v: float = MixedModelSpec.beta_v
+    alpha_u: float = MixedModelSpec.alpha_u
+    beta_u: float = MixedModelSpec.beta_u
     sampler: str = "gibbs"
     preconditioned: bool = False
     samples: int = 2200
@@ -249,8 +248,8 @@ class ExperimentConfig:
     coarse_range: tuple = (None, None)
     folds: int = 5
     seed: int = 0
-    cg_tol: float = 1e-8
-    cg_max_iter: int = None
+    cg_tol: float = SolverConfig.tol
+    cg_max_iter: int = SolverConfig.max_iter
     coef_variance: float = 10.0
     noise_variance: float = 1000.0
     pilot: int = 50
@@ -288,7 +287,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown allocation {self.allocation!r}")
         if self.allocation != "equal" and self.schedule != "consecutive":
             raise ConfigError("cost/var allocation requires the consecutive schedule")
-        for p in ("alpha_e", "beta_e", "alpha_v", "beta_v", "alpha_u", "beta_u"):
+        for p in PRIOR_FIELDS:
             if getattr(self, p) <= 0:
                 raise ConfigError(f"prior parameter {p} must be positive")
         parse_schedule(self.schedule)
@@ -326,16 +325,8 @@ class ExperimentConfig:
     def model_spec(self, n_cols):
         """The mixed-model spec of an n_cols-wide matrix under this
         config's column split and priors."""
-        return MixedModelSpec(
-            n_fixed=self.n_fixed,
-            n_random=n_cols - self.n_fixed,
-            alpha_e=self.alpha_e,
-            beta_e=self.beta_e,
-            alpha_v=self.alpha_v,
-            beta_v=self.beta_v,
-            alpha_u=self.alpha_u,
-            beta_u=self.beta_u,
-        )
+        priors = {p: getattr(self, p) for p in PRIOR_FIELDS}
+        return MixedModelSpec(self.n_fixed, n_cols - self.n_fixed, **priors)
 
 
 def _fits(value, kind):
@@ -434,24 +425,25 @@ class MetricsReport:
 
 
 def _fold_schedule(config, hierarchy, y, spec, solver_cfg, stream):
-    """The fold's level schedule; the variance allocation first runs a
-    pilot chain per level. The single-level sampler ignores the schedule
-    and allocation settings."""
-    if config.sampler == "gibbs":
+    """The fold's level schedule. A one-level hierarchy takes all its
+    draws consecutively at its one level, whatever the schedule and
+    allocation settings; on more levels the variance allocation first runs
+    a pilot chain per level."""
+    if hierarchy.n_levels == 1:
         return make_schedule("consecutive", 1, config.samples, config.burn_in)
     if config.allocation == "equal":
         return make_schedule(
             config.schedule, hierarchy.n_levels, config.samples, config.burn_in
         )
     H_post = config.samples - config.burn_in
-    costs = LevelCost(C=[m.nnz() for m in hierarchy.matrices])
+    C = [m.nnz() for m in hierarchy.matrices]
     if config.allocation == "cost":
-        totals = allocate_cost(costs, H_post)
+        totals = allocate_cost(C, H_post)
     else:
-        costs.s2 = estimate_level_variances(
+        s2 = estimate_level_variances(
             hierarchy, y, spec, solver_cfg, stream, pilot=config.pilot
         )
-        totals = allocate_variance(costs, H_post)
+        totals = allocate_variance(C, s2, H_post)
     visits = [(l, h) for l, h in enumerate(totals) if h > 0]
     return SampleSchedule(visits, hierarchy.n_levels, config.burn_in)
 

@@ -47,14 +47,6 @@ class SampleSchedule:
 
 
 @dataclass
-class LevelCost:
-    """Per-level sampling cost C_l (nnz of X_l) and optional pilot variance."""
-
-    C: list
-    s2: list | None = None
-
-
-@dataclass
 class EstimatorAccumulator:
     """Per-level sums of kept coefficient samples.
 
@@ -72,8 +64,7 @@ class EstimatorAccumulator:
     trace: list = None  # (tau, lam_v, lam_u) per draw, when asked for
 
     def mean_cg_iters(self):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(self.cg_solves > 0, self.cg_iters / np.maximum(self.cg_solves, 1), 0.0)
+        return np.where(self.cg_solves > 0, self.cg_iters / np.maximum(self.cg_solves, 1), 0.0)
 
     def count_solve(self, level, report):
         self.cg_iters[level] += report.iterations
@@ -158,26 +149,26 @@ def _sqrt_fraction(fr):
     return Fraction(math.sqrt(num / den))
 
 
-def allocate_cost(costs, H_total):
-    """H_l = floor((1/C_l) / sum_k (1/C_k) * H_total)."""
-    C = [Fraction(c) for c in costs.C]
-    inv = [1 / c for c in C]
-    total = sum(inv)
-    return [int(w / total * H_total) for w in inv]
+def _floor_shares(weights, H_total):
+    """H_l = floor(w_l / sum_k w_k * H_total) for Fraction weights w."""
+    total = sum(weights)
+    return [int(w / total * H_total) for w in weights]
 
 
-def allocate_variance(costs, H_total):
-    """H_l = floor(sqrt(s2_l/C_l) / sum_k sqrt(s2_k/C_k) * H_total)."""
-    if costs.s2 is None:
-        raise ConfigError("allocate_variance needs pilot variances")
-    if all(s == 0 for s in costs.s2):
+def allocate_cost(C, H_total):
+    """H_l = floor((1/C_l) / sum_k (1/C_k) * H_total) for per-level costs
+    C_l (nnz of X_l)."""
+    return _floor_shares([1 / Fraction(c) for c in C], H_total)
+
+
+def allocate_variance(C, s2, H_total):
+    """H_l = floor(sqrt(s2_l/C_l) / sum_k sqrt(s2_k/C_k) * H_total) for
+    per-level costs C_l and pilot variances s2_l."""
+    if all(s == 0 for s in s2):
         raise ConfigError("all pilot variances are zero")
-    w = [
-        _sqrt_fraction(Fraction(s) / Fraction(c))
-        for s, c in zip(costs.s2, costs.C)
-    ]
-    total = sum(w)
-    return [int(x / total * H_total) for x in w]
+    return _floor_shares(
+        [_sqrt_fraction(Fraction(s) / Fraction(c)) for s, c in zip(s2, C)], H_total
+    )
 
 
 def _level_specs(hierarchy, spec):
@@ -221,17 +212,16 @@ class Chain:
     coarse_factor: tuple = None  # of the draw in hand when preconditioned
 
 
-def _maybe_precond(chain, level, lam):
-    if chain.coarse_factor is None:
-        return None
-    return build_two_level(chain.hierarchy, level, lam / chain.state.tau, chain.coarse_factor)
-
-
 def _solve(chain, level, lam, e1, e2, x0):
-    """One noise-injection solve at `level`, counted there."""
+    """One noise-injection solve at `level`, counted there, preconditioned
+    with the draw's coarse factor when the chain has one."""
+    factor = chain.coarse_factor
+    precond = None if factor is None else build_two_level(
+        chain.hierarchy, level, lam / chain.state.tau, factor
+    )
     b, report = solve_noise_system(
         chain.hierarchy.matrices[level], chain.y, chain.state.tau, lam, e1, e2,
-        chain.config, precond=_maybe_precond(chain, level, lam), x0=x0,
+        chain.config, precond=precond, x0=x0,
     )
     chain.acc.count_solve(level, report)
     return b

@@ -40,7 +40,8 @@ class SolverConfig:
     max_iter: int | None = None
 
 
-def cg_solve(apply_A, rhs, x0=None, tol=1e-8, max_iter=None, precond=None):
+def cg_solve(apply_A, rhs, x0=None, tol=SolverConfig.tol, max_iter=SolverConfig.max_iter,
+             precond=None):
     """Solve A x = rhs for SPD A given only the action of A.
 
     Stops when ||rhs - A x|| <= tol * ||rhs|| or after max_iter

@@ -35,7 +35,6 @@ from mlgibbs import (
 )
 from mlgibbs.hierarchy import LevelHierarchy, restrict_diagonal
 from mlgibbs.multilevel import (
-    LevelCost,
     allocate_cost,
     allocate_variance,
     finalize_estimate,
@@ -333,7 +332,7 @@ def test_criterion_11_allocation_formulas():
             inv = [Fraction(1, c) for c in C]
             total = sum(inv)
             want = [int(w / total * H) for w in inv]
-            assert allocate_cost(LevelCost(C=C), H) == want
+            assert allocate_cost(C, H) == want
         for _ in range(25):
             n = int(rng.integers(2, 7))
             C = [int(c) for c in rng.integers(1, 50, n)]
@@ -342,7 +341,7 @@ def test_criterion_11_allocation_formulas():
             H = int(rng.integers(100, 5000))
             total = sum(a)
             want = [int(Fraction(ai, total) * H) for ai in a]
-            assert allocate_variance(LevelCost(C=C, s2=s2), H) == want
+            assert allocate_variance(C, s2, H) == want
 
 
 def test_criterion_12_preconditioned_cg():

@@ -10,9 +10,11 @@ from hypothesis import given, settings, strategies as st
 from mlgibbs import (
     ConfigError,
     HierarchyError,
+    MixedModelSpec,
     MlgibbsError,
     ParseError,
     RandomStream,
+    SolverConfig,
     from_dense,
     from_triplets,
     spmv,
@@ -283,6 +285,10 @@ class TestExperimentConfig:
         with pytest.raises(ConfigError, match="not valid JSON"):
             ExperimentConfig.from_json(p)
 
+    def test_defaults_are_the_library_defaults(self):
+        assert ExperimentConfig().model_spec(9) == MixedModelSpec(0, 9)
+        assert ExperimentConfig().solver_config() == SolverConfig()
+
     def test_from_json(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps(
@@ -324,6 +330,28 @@ class TestRunExperiment:
             assert fg.rho == fm.rho
             assert fg.rmse == fm.rmse
             assert fg.mae == fm.mae
+
+    @pytest.mark.parametrize("sampler", ["ml", "mlcss"])
+    def test_single_level_var_allocation_equals_gibbs(self, sampler, monkeypatch):
+        # a one-level hierarchy takes all its draws at its one level: the
+        # variance allocation runs no pilot chain there
+        pilots = []
+        real = harness.estimate_level_variances
+
+        def pilot(*args, **kwargs):
+            pilots.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "estimate_level_variances", pilot)
+        X = small_experiment_matrix()
+        base = dict(samples=80, burn_in=20, folds=3, seed=5, levels=1,
+                    coarse_range=(1, 10**6), pilot=10)
+        g = run_experiment(ExperimentConfig(sampler="gibbs", **base), X=X)
+        m = run_experiment(
+            ExperimentConfig(sampler=sampler, allocation="var", **base), X=X
+        )
+        assert m.metric_values() == g.metric_values()
+        assert pilots == []
 
     def test_all_samplers_run(self):
         X = small_experiment_matrix()
@@ -678,7 +706,11 @@ class TestCli:
         assert code == 0
         assert [(c.tol, c.max_iter) for c in configs] == [(1e-6, 50)]
 
-    def test_level_variance_needs_ml(self, tmp_path, capsys):
+    def test_level_variance_needs_ml(self, tmp_path, capsys, monkeypatch):
+        import mlgibbs.cli as cli_mod
+
+        runs = []
+        monkeypatch.setattr(cli_mod, "run_experiment", lambda *args: runs.append(args))
         data = self._write_data(tmp_path)
         code = main([
             "run", "--data", str(data), "--sampler", "gibbs",
@@ -686,6 +718,8 @@ class TestCli:
             "--level-variance", str(tmp_path / "lv.csv"),
         ])
         assert code == 2
+        assert "needs a multilevel sampler" in capsys.readouterr().err
+        assert runs == []  # rejected before the experiment runs
 
     @pytest.mark.parametrize("text", ['{"samples": 60,', '{"samples": "many"}', None])
     def test_malformed_config(self, tmp_path, capsys, text):

@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from mlgibbs import (
     ConfigError,
     EstimatorError,
-    LevelCost,
     MixedModelSpec,
     RandomStream,
     SampleSchedule,
@@ -115,10 +114,10 @@ class TestMakeSchedule:
 
 class TestAllocation:
     def test_cost_simple(self):
-        assert allocate_cost(LevelCost(C=[1, 3]), 100) == [75, 25]
+        assert allocate_cost([1, 3], 100) == [75, 25]
 
     def test_cost_equal(self):
-        assert allocate_cost(LevelCost(C=[1, 1, 1]), 9) == [3, 3, 3]
+        assert allocate_cost([1, 1, 1], 9) == [3, 3, 3]
 
     def test_cost_rational(self):
         # exact rational evaluation: weights (1/2, 1/5, 1/9) / (73/90)
@@ -127,25 +126,20 @@ class TestAllocation:
             for c in (2, 5, 9)
         ]
         assert want == [616, 246, 136]
-        assert allocate_cost(LevelCost(C=[2, 5, 9]), 1000) == want
+        assert allocate_cost([2, 5, 9], 1000) == want
 
     def test_variance_simple(self):
-        costs = LevelCost(C=[1, 4], s2=[4, 1])
-        assert allocate_variance(costs, 100) == [80, 20]
+        assert allocate_variance([1, 4], [4, 1], 100) == [80, 20]
 
     def test_variance_symmetry(self):
-        costs = LevelCost(C=[2, 2], s2=[3, 3])
-        assert allocate_variance(costs, 100) == [50, 50]
+        assert allocate_variance([2, 2], [3, 3], 100) == [50, 50]
 
     def test_variance_rational(self):
-        costs = LevelCost(C=[1, 4, 16], s2=[9, 4, 1])
-        assert allocate_variance(costs, 1000) == [705, 235, 58]
+        assert allocate_variance([1, 4, 16], [9, 4, 1], 1000) == [705, 235, 58]
 
     def test_variance_errors(self):
         with pytest.raises(ConfigError):
-            allocate_variance(LevelCost(C=[1, 2]), 100)
-        with pytest.raises(ConfigError):
-            allocate_variance(LevelCost(C=[1, 2], s2=[0, 0]), 100)
+            allocate_variance([1, 2], [0, 0], 100)
 
     @settings(deadline=None, max_examples=50)
     @given(seed=st.integers(0, 10**6))
@@ -157,7 +151,7 @@ class TestAllocation:
         inv = [Fraction(1, c) for c in C]
         total = sum(inv)
         want = [int(w / total * H) for w in inv]
-        assert allocate_cost(LevelCost(C=C), H) == want
+        assert allocate_cost(C, H) == want
 
 
 class TestDegeneracy:
