@@ -288,8 +288,11 @@ class ExperimentConfig:
         if self.allocation != "equal" and self.schedule != "consecutive":
             raise ConfigError("cost/var allocation requires the consecutive schedule")
         for p in PRIOR_FIELDS:
-            if getattr(self, p) <= 0:
-                raise ConfigError(f"prior parameter {p} must be positive")
+            if not 0 < getattr(self, p) < math.inf:
+                raise ConfigError(f"prior parameter {p} must be positive and finite")
+        for v in ("coef_variance", "noise_variance"):
+            if not 0 <= getattr(self, v) < math.inf:
+                raise ConfigError(f"{v} must be >= 0 and finite, got {getattr(self, v)}")
         parse_schedule(self.schedule)
         if not self.samples > self.burn_in >= 0:
             raise ConfigError(

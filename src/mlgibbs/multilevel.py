@@ -6,11 +6,10 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, EstimatorError
+from .errors import ConfigError, EstimatorError, NumericalError
 from .gibbs import (
     GibbsState,
     assemble_lambda,
@@ -65,6 +64,10 @@ class EstimatorAccumulator:
 
     def mean_cg_iters(self):
         return np.where(self.cg_solves > 0, self.cg_iters / np.maximum(self.cg_solves, 1), 0.0)
+
+    def add(self, level, v):
+        self.level_sums[level] += v
+        self.counts[level] += 1
 
     def count_solve(self, level, report):
         self.cg_iters[level] += report.iterations
@@ -171,13 +174,6 @@ def allocate_variance(C, s2, H_total):
     )
 
 
-def _level_specs(hierarchy, spec):
-    out = []
-    for m, gb in zip(hierarchy.matrices, hierarchy.group_boundaries):
-        out.append(spec.at_width(gb, m.n_cols - gb))
-    return out
-
-
 def _visit_plan(schedule):
     """(level, count, keep) entries: the burn-in at the coarsest level, then
     one kept entry per visit."""
@@ -197,55 +193,46 @@ def _new_accumulator(hierarchy, mode="pooled"):
     )
 
 
-@dataclass
-class Chain:
-    """The chain as an estimator hook sees it. state holds the
-    hyperparameters of the draw in hand; its b is still the previous
-    sample."""
-
-    hierarchy: object
-    y: np.ndarray
-    specs: list
-    config: SolverConfig
-    acc: EstimatorAccumulator
-    state: GibbsState = None
-    coarse_factor: tuple = None  # of the draw in hand when preconditioned
-
-
-def _solve(chain, level, lam, e1, e2, x0):
-    """One noise-injection solve at `level`, counted there, preconditioned
-    with the draw's coarse factor when the chain has one."""
-    factor = chain.coarse_factor
-    precond = None if factor is None else build_two_level(
-        chain.hierarchy, level, lam / chain.state.tau, factor
-    )
-    b, report = solve_noise_system(
-        chain.hierarchy.matrices[level], chain.y, chain.state.tau, lam, e1, e2,
-        chain.config, precond=precond, x0=x0,
-    )
-    chain.acc.count_solve(level, report)
-    return b
-
-
-def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, preconditioned=False):
+def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, preconditioned=False,
+               couplings=()):
     """The one Markov chain every sampler runs, along a visit plan of
-    (level, count, keep) entries; returns acc.
+    (level, count, keep) entries; returns acc. It makes every solve and
+    acc counts each one at the level it solves.
 
     The hyperparameters start from the prior at the first level visited,
     and b is interpolated or restricted across level changes. Each draw
     updates the hyperparameters (all but the very first draw), draws the
-    noise and does one ridge solve, which acc counts at its level. Only
-    kept draws reach the estimator hook, on_kept(chain, level, b, e1, e2).
-    Preconditioned, each draw factors the coarsest-level system once and
-    every solve of the draw shares that factor; a one-level hierarchy has
-    no coarse space and runs plain CG.
+    noise and does one ridge solve. Only kept draws reach the estimator
+    hook, on_kept(level, b, diffs), where diffs maps each coupling to the
+    kept draw's d_l = b_l - P_l b_{l-1} above level 0 and is empty at
+    level 0. coupling="solves" re-solves the level l-1 system with the
+    draw's tau, lam_v, lam_u and e1 and with e2 restricted;
+    coupling="projection" takes b_{l-1} = P_l^T b_l without a second
+    solve. Preconditioned, each draw factors the coarsest-level system
+    once and every solve of the draw shares that factor; a one-level
+    hierarchy has no coarse space and runs plain CG.
     """
-    chain = Chain(hierarchy, y, _level_specs(hierarchy, spec), config or SolverConfig(), acc)
+    if any(c not in COUPLING_KINDS for c in couplings):
+        raise ConfigError(f"unknown coupling in {couplings!r}")
+    config = config or SolverConfig()
+    specs = [spec.at_width(gb, m.n_cols - gb)
+             for m, gb in zip(hierarchy.matrices, hierarchy.group_boundaries)]
     precond = preconditioned and hierarchy.n_levels >= 2
+    state = factor = None
+
+    def solve(level, lam, e1, e2, x0):
+        # one noise-injection solve at `level` with the draw's coarse factor
+        M = None if factor is None else build_two_level(hierarchy, level, lam / state.tau, factor)
+        b, report = solve_noise_system(
+            hierarchy.matrices[level], y, state.tau, lam, e1, e2, config, precond=M, x0=x0
+        )
+        acc.count_solve(level, report)
+        return b
+
     for lvl, count, keep in plan:
-        X_l, spec_l = hierarchy.matrices[lvl], chain.specs[lvl]
-        if chain.state is None:
-            chain.state = state = GibbsState(None, *init_hyperparams(spec_l, stream))
+        X_l, spec_l = hierarchy.matrices[lvl], specs[lvl]
+        if state is None:
+            state = GibbsState(None, *init_hyperparams(spec_l, stream))
         elif lvl != cur:
             state.b = hierarchy.transfer(state.b, cur, lvl)
         cur = lvl
@@ -254,72 +241,53 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
                 state.tau, state.lam_v, state.lam_u = sample_hyperparams(
                     state, X_l, y, spec_l, stream
                 )
+            lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
+            # the noise scales by 1/tau and the shift is Lambda/tau
+            if not (0 < state.tau < math.inf and max(1.0, float(lam.max())) / state.tau < math.inf):
+                raise NumericalError(f"noise precision tau = {state.tau} at level {lvl}")
             if precond:
                 # Lambda_0/tau: the level-l shift restricted to level 0, since
                 # no cluster mixes fixed and random columns
-                lam0 = assemble_lambda(chain.specs[0], state.lam_v, state.lam_u)
-                chain.coarse_factor = factor_coarse(hierarchy, lam0 / state.tau)
-            lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
+                lam0 = assemble_lambda(specs[0], state.lam_v, state.lam_u)
+                factor = factor_coarse(hierarchy, lam0 / state.tau)
             e1, e2 = draw_noise(X_l, state.tau, lam, stream)
-            b = _solve(chain, lvl, lam, e1, e2, state.b)
+            b = solve(lvl, lam, e1, e2, state.b)
             if acc.trace is not None:
                 acc.trace.append((state.tau, state.lam_v, state.lam_u))
             if keep:
-                on_kept(chain, lvl, b, e1, e2)
+                diffs, c = {}, lvl - 1
+                for coupling in couplings if lvl else ():
+                    if coupling == "projection":
+                        b_c = hierarchy.transfer(b, lvl, c)
+                    else:
+                        lam_c = assemble_lambda(specs[c], state.lam_v, state.lam_u)
+                        x0_c = None if state.b is None else hierarchy.transfer(state.b, lvl, c)
+                        b_c = solve(c, lam_c, e1, hierarchy.transfer(e2, lvl, c), x0_c)
+                    diffs[coupling] = b - hierarchy.transfer(b_c, c, lvl)
+                on_kept(lvl, b, diffs)
             state.b = b
     return acc
-
-
-def _coupled_difference(chain, lvl, b, e1, e2, coupling):
-    """d_l = b_l - P_l b_{l-1}. coupling="solves" re-solves the level l-1
-    system with the draw's tau, lam_v, lam_u and e1 and with e2
-    restricted, and counts that solve at level l-1; coupling="projection"
-    takes b_{l-1} = P_l^T b_l without a second solve."""
-    h, c = chain.hierarchy, lvl - 1
-    if coupling == "projection":
-        return b - h.transfer(h.transfer(b, lvl, c), c, lvl)
-    state = chain.state
-    lam_c = assemble_lambda(chain.specs[c], state.lam_v, state.lam_u)
-    x0_c = h.transfer(state.b, lvl, c) if state.b is not None else None
-    return b - h.transfer(_solve(chain, c, lam_c, e1, h.transfer(e2, lvl, c), x0_c), c, lvl)
-
-
-def _pooled(chain, lvl, b, e1, e2):
-    """Estimator hook: pool the kept samples per level."""
-    chain.acc.level_sums[lvl] += b
-    chain.acc.counts[lvl] += 1
-
-
-def _telescoping(coupling, chain, lvl, b, e1, e2):
-    """Estimator hook: per-level sums of the kept level-0 samples and of the
-    coupled differences d_l above."""
-    d = b if lvl == 0 else _coupled_difference(chain, lvl, b, e1, e2, coupling)
-    _pooled(chain, lvl, d, e1, e2)
 
 
 def probe_levels(hierarchy, y, spec, config, stream, X_probe, n_draws, burn, couplings=()):
     """One chain per level, on stream.split(n_levels): burn discarded draws,
     then n_draws probed by X_probe. Returns per level the (n_draws, rows)
     array of predicted observations and {coupling: array of differences}."""
-    if not set(couplings) <= set(COUPLING_KINDS):
-        raise ConfigError(f"unknown coupling in {couplings!r}")
+    L = hierarchy.n_levels - 1
     out = []
     for l, sub in enumerate(stream.split(hierarchy.n_levels)):
         ys, diffs = [], {c: [] for c in couplings}
 
-        def probe(chain, lvl, b, e1, e2):
-            # estimator hook: X_probe times the kept sample and, above level
-            # 0, times each coupling's difference, interpolated to the finest
-            def at(v):
-                return spmv(X_probe, hierarchy.transfer(v, lvl, hierarchy.n_levels - 1))
-
-            ys.append(at(b))
-            if lvl >= 1:
-                for c in couplings:
-                    diffs[c].append(at(_coupled_difference(chain, lvl, b, e1, e2, c)))
+        def probe(lvl, b, ds):
+            # X_probe times the kept sample and each difference, interpolated
+            # to the finest level
+            ys.append(spmv(X_probe, hierarchy.transfer(b, lvl, L)))
+            for c, d in ds.items():
+                diffs[c].append(spmv(X_probe, hierarchy.transfer(d, lvl, L)))
 
         plan = [(l, burn, False), (l, n_draws, True)]
-        run_levels(hierarchy, y, spec, plan, config, sub, probe, _new_accumulator(hierarchy))
+        run_levels(hierarchy, y, spec, plan, config, sub, probe, _new_accumulator(hierarchy),
+                   couplings=couplings)
         out.append((np.array(ys), {c: np.array(v) for c, v in diffs.items()}))
     return out
 
@@ -331,7 +299,8 @@ def run_pooled(hierarchy, y, spec, schedule, config, stream, preconditioned=Fals
     (tau, lam_v, lam_u) of every draw, discarded ones included."""
     acc, plan = _new_accumulator(hierarchy, "pooled"), _visit_plan(schedule)
     acc.trace = [] if trace else None
-    return run_levels(hierarchy, y, spec, plan, config, stream, _pooled, acc, preconditioned)
+    hook = lambda lvl, b, diffs: acc.add(lvl, b)
+    return run_levels(hierarchy, y, spec, plan, config, stream, hook, acc, preconditioned)
 
 
 def run_ml_gibbs(hierarchy, y, spec, schedule, config, stream, preconditioned=False):
@@ -350,20 +319,16 @@ def run_ml_cs(
     coupling="solves",
     preconditioned=False,
 ):
-    """Telescoping multilevel chain with correlated cross-level samples.
-
-    Level-0 visits contribute plain coarse samples. At level l >= 1,
-    coupling="solves" re-solves the noise-injection system on level l-1
-    with the same tau, lam_v, lam_u and e1 and with e2 restricted, and
-    stores d_l = b_l - P_l b_{l-1}; coupling="projection" stores
-    d_l = b_l - P_l P_l^T b_l without a second solve. Discarded draws make
-    no coupled solve.
+    """Telescoping multilevel chain with correlated cross-level samples:
+    level-0 visits contribute plain coarse samples, visits at level l >= 1
+    the coupled differences d_l that run_levels makes for `coupling`.
+    Discarded draws make no coupled solve.
     """
-    if coupling not in COUPLING_KINDS:
-        raise ConfigError(f"unknown coupling {coupling!r}")
     acc, plan = _new_accumulator(hierarchy, "telescoping"), _visit_plan(schedule)
-    hook = partial(_telescoping, coupling)
-    return run_levels(hierarchy, y, spec, plan, config, stream, hook, acc, preconditioned)
+    hook = lambda lvl, b, diffs: acc.add(lvl, diffs.get(coupling, b))
+    return run_levels(
+        hierarchy, y, spec, plan, config, stream, hook, acc, preconditioned, (coupling,)
+    )
 
 
 def finalize_estimate(acc, hierarchy, X_eval):
@@ -389,7 +354,7 @@ def finalize_estimate(acc, hierarchy, X_eval):
     return spmv(X_eval, coef)
 
 
-def estimate_level_variances(hierarchy, y, spec, config, stream, pilot=50):
+def estimate_level_variances(hierarchy, y, spec, config, stream, pilot):
     """Pilot chains per level: s2_l is the sample variance (over pilot
     draws) of the mean predicted observation on that level."""
     probes = probe_levels(hierarchy, y, spec, config, stream, hierarchy.finest, pilot, 0)

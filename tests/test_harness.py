@@ -21,6 +21,7 @@ from mlgibbs import (
 )
 from mlgibbs import harness
 from mlgibbs.cli import main
+from mlgibbs.gibbs import PRIOR_FIELDS
 from mlgibbs.harness import (
     ExperimentConfig,
     kfold_split,
@@ -265,6 +266,14 @@ class TestExperimentConfig:
             cfg.validate()
 
     @pytest.mark.parametrize("field, value", [
+        ("alpha_e", np.nan), ("beta_v", np.nan), ("beta_e", np.inf), ("alpha_u", np.inf),
+        ("coef_variance", np.nan), ("noise_variance", np.inf), ("coef_variance", -1.0),
+    ])
+    def test_validate_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ExperimentConfig(**{field: value}).validate()
+
+    @pytest.mark.parametrize("field, value", [
         ("samples", "many"), ("samples", True), ("folds", 2.5), ("cg_tol", "1e-8"),
         ("preconditioned", 1), ("sampler", None), ("schedule", 5),
         ("coarse_range", (4, 8, 12)), ("coarse_range", (4, "8")), ("cg_max_iter", 7.0),
@@ -440,6 +449,23 @@ class TestRunExperiment:
         assert [f.cg_unconverged for f in rep.folds] == [[0, 0], [0, 0]]
         assert json.loads(rep.to_json())["cg_unconverged"] == 0
 
+    @pytest.mark.parametrize("kw", [
+        dict(sampler="gibbs"), dict(sampler="ml"), dict(sampler="ml", preconditioned=True),
+    ])
+    def test_zero_noise_precision_fails_folds(self, kw):
+        # under the vague Gamma(1e-3, 1e-3) prior numpy draws tau = 0.0 about
+        # half the time: those folds fail with NumericalError, the rest run
+        X = cluster_sparse(np.random.default_rng(5), 80, 12, 5, 6)
+        errors = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a tiny tau overflows Lambda/tau
+            for seed in range(6):
+                cfg = ExperimentConfig(alpha_e=1e-3, beta_e=1e-3, seed=seed, samples=60,
+                                       burn_in=10, **kw)
+                errors += [f.error for f in run_experiment(cfg, X=X).folds]
+        assert any(e and e.startswith("NumericalError: noise precision") for e in errors)
+        assert all(e is None or e.startswith("NumericalError") for e in errors)
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_config_runs_or_raises_typed(self, data):
@@ -486,6 +512,7 @@ def in_range_config(draw):
         "cg_tol": draw(st.sampled_from([0.0, 1e-10, 1e-3])),
         "cg_max_iter": draw(st.none() | st.integers(1, 6)),
         "pilot": draw(st.integers(2, 6)),
+        **{p: draw(st.sampled_from([1e-3, 1.0, 10.0])) for p in PRIOR_FIELDS},
     }
 
 
@@ -502,6 +529,7 @@ OUT_OF_RANGE = {
     "cg_tol": st.sampled_from([-1.0, np.nan, 1.0, np.inf]),
     "cg_max_iter": st.integers(-3, 0),
     "pilot": st.integers(-1, 1),
+    **{p: st.sampled_from([0.0, -1.0, np.nan, np.inf]) for p in PRIOR_FIELDS},
 }
 
 
@@ -656,6 +684,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error:")
         assert "burnin" in err and "sampels" in err and "folds" not in err
+
+    def test_every_fold_failing_exits_1(self, tmp_path, capsys):
+        # seed 2 draws tau = 0.0 from the vague noise prior in both folds
+        data = self._write_data(tmp_path)
+        cfg = tmp_path / "vague.json"
+        cfg.write_text(json.dumps({"alpha_e": 1e-3, "beta_e": 1e-3}))
+        code = main(["run", "--data", str(data), "--config", str(cfg), "--samples", "60",
+                     "--burnin", "10", "--folds", "2", "--seed", "2"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: no fold succeeded; fold 0: "
+                                                  "NumericalError: noise precision")
 
     def test_config_not_an_object(self, tmp_path, capsys):
         data = self._write_data(tmp_path)

@@ -23,6 +23,43 @@ def unused_imports(source):
     return [name for name in imported if name not in used]
 
 
+def unused_private_names(sources):
+    """Module-level private names (`_x`) that one of `sources` defines and
+    none of them reads, as "module:name" in definition order."""
+    trees = {name: ast.parse(src) for name, src in sources.items()}
+    read = set()
+    for tree in trees.values():
+        for n in ast.walk(tree):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            unused += [f"{module}:{n}" for n in names
+                       if n.startswith("_") and not n.startswith("__") and n not in read]
+    return unused
+
+
+def test_unused_private_names_found():
+    sources = {"a": "_K = 1\ndef _f():\n    return _K\ndef _g():\n    pass\n",
+               "b": "from .a import _f\n_f()\n_h = 2\n"}
+    assert unused_private_names(sources) == ["a:_g", "b:_h"]
+
+
+def test_no_unused_private_names():
+    sources = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert unused_private_names(sources) == []
+
+
 def test_unused_imports_found():
     source = "import os\nimport numpy as np\nfrom fractions import Fraction\nnp.zeros(1)\n"
     assert unused_imports(source) == ["os", "Fraction"]
