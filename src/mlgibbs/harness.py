@@ -180,15 +180,7 @@ def load_targets(path):
 
 
 # ---------------------------------------------------------------------------
-# synthetic protocol
-
-def synthesize_targets(X, stream, coef_variance=10.0, noise_variance=1000.0):
-    """b_true ~ N(0, coef_variance I), e ~ N(0, noise_variance I),
-    y = X b_true + e. b_true is retained for noiseless evaluation."""
-    b_true = stream.normal_vector(X.n_cols, 0.0, coef_variance)
-    e = stream.normal_vector(X.n_rows, 0.0, noise_variance)
-    return b_true, spmv(X, b_true) + e
-
+# evaluation protocol
 
 def kfold_split(n, folds, stream):
     """Random disjoint near-equal test sets covering all rows."""
@@ -341,6 +333,15 @@ def _fits(value, kind):
     if isinstance(value, (bool, np.bool_)):
         return kind is bool
     return isinstance(value, {int: numbers.Integral, float: numbers.Real}.get(kind, kind))
+
+
+def synthesize_targets(X, stream, coef_variance=ExperimentConfig.coef_variance,
+                       noise_variance=ExperimentConfig.noise_variance):
+    """b_true ~ N(0, coef_variance I), e ~ N(0, noise_variance I),
+    y = X b_true + e. b_true is retained for noiseless evaluation."""
+    b_true = stream.normal_vector(X.n_cols, 0.0, coef_variance)
+    e = stream.normal_vector(X.n_rows, 0.0, noise_variance)
+    return b_true, spmv(X, b_true) + e
 
 
 @dataclass

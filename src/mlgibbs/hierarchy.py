@@ -71,6 +71,16 @@ class LevelHierarchy:
         gram.flags.writeable = False
         return gram
 
+    @cached_property
+    def coarse_eigh(self):
+        """(Q, w) with coarse_gram = Q diag(w) Q^T, w clipped at 0 since the
+        Gram matrix is PSD; formed on first use and kept read-only like it.
+        Under a one-valued shift s every coarse system is Q diag(w + s) Q^T."""
+        w, Q = np.linalg.eigh(self.coarse_gram)
+        w = np.maximum(w, 0.0)
+        w.flags.writeable = Q.flags.writeable = False
+        return Q, w
+
     def transfer(self, v, level, target):
         """Carry a vector from `level` to `target`, one level at a time:
         prolonged up or restricted down; v itself when they are equal."""

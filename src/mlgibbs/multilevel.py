@@ -242,9 +242,12 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
                     state, X_l, y, spec_l, stream
                 )
             lam = assemble_lambda(spec_l, state.lam_v, state.lam_u)
-            # the noise scales by 1/tau and the shift is Lambda/tau
-            if not (0 < state.tau < math.inf and max(1.0, float(lam.max())) / state.tau < math.inf):
-                raise NumericalError(f"noise precision tau = {state.tau} at level {lvl}")
+            # the noise variance is 1/tau and the shift Lambda/tau; CG's
+            # products grow with the cube of the larger, so past 1e100 they
+            # overflow: checked once per draw, before any solve
+            if not (0 < state.tau < math.inf and max(1.0, float(lam.max())) / state.tau <= 1e100):
+                raise NumericalError(f"noise precision tau = {state.tau} at level {lvl}: "
+                                     "1/tau or Lambda/tau is past 1e100")
             if precond:
                 # Lambda_0/tau: the level-l shift restricted to level 0, since
                 # no cluster mixes fixed and random columns

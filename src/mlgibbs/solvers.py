@@ -113,24 +113,42 @@ class TwoLevelPreconditioner:
     apply_fine: object  # action of the fine-level Gram operator
     hierarchy: object = field(repr=False)
     level: int  # the level whose Gram system it preconditions
-    coarse_factor: tuple = field(repr=False)
+    coarse_factor: tuple = field(repr=False)  # factor_coarse's (Q, 1/(w + s)) or (c, lower)
 
     def __call__(self, r):
         return precond_apply(self, r)
 
 
 def factor_coarse(hierarchy, shift0):
-    """Cholesky factor (cho_factor's (c, lower)) of the coarsest-level
-    system X_0^T X_0 + diag(shift0)."""
+    """Factor of the coarsest-level system X_0^T X_0 + diag(shift0), for
+    _coarse_solve. A shift of one value s gives the eigen kind
+    (Q, 1/(w + s)) on hierarchy.coarse_eigh, formed once per hierarchy,
+    so each draw costs O(n0); any other shift cho_factor's (c, lower)."""
     X0 = hierarchy.matrices[0]
     if X0.n_cols > DENSE_CAP:
         raise SetupError(f"coarse width {X0.n_cols} exceeds dense cap {DENSE_CAP}")
+    if np.ptp(shift0) == 0:
+        Q, w = hierarchy.coarse_eigh
+        d = w + shift0[0]
+        if not d[0] > 1e-12 * d.mean():
+            d = d + 1e-12 * d.mean()  # the jitter below, for a singular system
+        return Q, 1.0 / d
     G0 = hierarchy.coarse_gram + np.diag(shift0)
     try:
         return cho_factor(G0)
     except np.linalg.LinAlgError:
         G0 = G0 + np.eye(G0.shape[0]) * (1e-12 * np.trace(G0) / G0.shape[0])
         return cho_factor(G0)
+
+
+def _coarse_solve(factor, r):
+    """Exact coarsest-level solve with a factor_coarse factor: Q ((Q^T r) /
+    (w + s)) in the eigenbasis, else LAPACK's dpotrs, the solve behind
+    cho_solve without its wrapper's checks (cho_factor checked G0)."""
+    basis, inv = factor
+    if isinstance(inv, bool):  # cho_factor's `lower` flag
+        return dpotrs(basis, r, lower=inv)[0]
+    return basis @ ((basis.T @ r) * inv)
 
 
 def build_two_level(hierarchy, level, shift_diag, coarse_factor):
@@ -152,15 +170,10 @@ def build_two_level(hierarchy, level, shift_diag, coarse_factor):
 def precond_apply(M, r):
     """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the
     prolongated exact coarse correction; at level 0 only the exact solve."""
-    # the LAPACK solve behind cho_solve, without its wrapper: cho_factor
-    # checked G0, and a non-finite r raises NumericalError in the smoother
-    # or, at level 0, in the CG step that follows
-    c, lower = M.coarse_factor
+    # a non-finite r raises NumericalError in the smoother or, at level 0,
+    # in the CG step that follows
     if M.level == 0:
-        z, _ = dpotrs(c, r, lower=lower)
-        return z
+        return _coarse_solve(M.coarse_factor, r)
     z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
-    # resid is a fresh vector that the solve may overwrite
     resid = M.hierarchy.transfer(r - M.apply_fine(z), M.level, 0)
-    yc, _ = dpotrs(c, resid, lower=lower, overwrite_b=True)
-    return z + M.hierarchy.transfer(yc, 0, M.level)
+    return z + M.hierarchy.transfer(_coarse_solve(M.coarse_factor, resid), 0, M.level)

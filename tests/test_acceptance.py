@@ -261,6 +261,7 @@ def benchmark_runs():
     return out
 
 
+@pytest.mark.slow
 def test_criterion_08_accuracy_parity(benchmark_runs):
     with criterion(8, "RMSE parity within one pooled std and rho >= 0.9 for both samplers"):
         g, m = benchmark_runs["gibbs"], benchmark_runs["ml"]
@@ -273,12 +274,14 @@ def test_criterion_08_accuracy_parity(benchmark_runs):
         assert benchmark_runs["elapsed"] < 900.0
 
 
+@pytest.mark.slow
 def test_criterion_09_speedup_direction(benchmark_runs):
     with criterion(9, "multilevel execution time below single-level on the parity benchmark"):
         g, m = benchmark_runs["gibbs"], benchmark_runs["ml"]
         assert m.exec_time < g.exec_time
 
 
+@pytest.mark.slow
 def test_speedup_direction_with_setup(benchmark_runs):
     # the speed-up must hold with the hierarchy build counted, not only on
     # exec_time as criterion 9 measures it
@@ -360,6 +363,7 @@ def test_criterion_12_preconditioned_cg():
         assert pre.iterations < plain.iterations
 
 
+@pytest.mark.slow
 def test_criterion_13_end_to_end_determinism(benchmark_runs):
     with criterion(13, "identical seeds give identical metrics across two full runs"):
         assert (

@@ -466,6 +466,18 @@ class TestRunExperiment:
         assert any(e and e.startswith("NumericalError: noise precision") for e in errors)
         assert all(e is None or e.startswith("NumericalError") for e in errors)
 
+    def test_tiny_noise_precision_fails_before_cg(self):
+        # fold 0 draws tau = 6.6e-156: finite 1/tau and Lambda/tau, but its
+        # noise overflows the right-hand side's norm (a RuntimeWarning, an
+        # error under this suite's filter) and CG's first p.Ap
+        X = cluster_sparse(np.random.default_rng(11), 30, 4, 3, 6)
+        cfg = ExperimentConfig(sampler="gibbs", samples=1, burn_in=0, levels=1, cg_tol=0.0,
+                               folds=2, seed=79, alpha_e=1e-3, beta_e=1e-3, alpha_v=1e-3,
+                               beta_v=1e-3, beta_u=1e-3)
+        errors = [f.error for f in run_experiment(cfg, X=X).folds]
+        assert errors[0].startswith("NumericalError: noise precision tau = 6.5")
+        assert "at level 0" in errors[0]
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_config_runs_or_raises_typed(self, data):

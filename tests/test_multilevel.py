@@ -2,6 +2,7 @@
 
 import warnings
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -401,6 +402,58 @@ class TestPreconditionedChain:
         # the factor of its draw
         assert acc.cg_solves.sum() == 100 + acc.counts[1:].sum() > 100
         assert calls == [(h.widths()[0],) * 2] * 100
+
+    @pytest.fixture()
+    def one_block(self):
+        X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
+        y = np.random.default_rng(12).standard_normal(60) * 3
+        h = build_hierarchy(X, 0, (5, 15), 3)
+        assert h.widths() == [12, 23, 72]
+        return h, y, MixedModelSpec(0, X.n_cols)
+
+    def test_one_block_one_eigh_per_hierarchy(self, one_block, monkeypatch):
+        from mlgibbs import solvers
+
+        h, y, spec = one_block
+        calls = []
+        real = np.linalg.eigh
+
+        def counting(G):
+            calls.append(G.shape)
+            return real(G)
+
+        def no_factor(G):
+            raise AssertionError("a one-valued coarse shift takes a Cholesky factor")
+
+        monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(solvers, "cho_factor", no_factor)
+        schedule = make_schedule("vcycle:10", 3, 100, 20)
+        for fresh in (h, h, LevelHierarchy(h.matrices, h.prolongators, h.group_boundaries)):
+            acc = run_ml_cs(fresh, y, spec, schedule, SolverConfig(), RandomStream(3),
+                            coupling="solves", preconditioned=True)
+            assert acc.cg_solves.sum() > 100
+        assert calls == [(h.widths()[0],) * 2] * 2
+
+    @pytest.mark.parametrize("sampler, seed", [
+        (run_ml_gibbs, 22),
+        (partial(run_ml_cs, coupling="solves"), 23),
+        (partial(run_ml_cs, coupling="projection"), 23),
+    ], ids=["ml_gibbs", "ml_cs_solves", "ml_cs_projection"])
+    def test_one_block_preconditioned_matches_plain(self, one_block, sampler, seed):
+        # the oracle of test_preconditioned_matches_plain, on the eigenbasis
+        # coarse solves of a model with no fixed effects
+        h, y, spec = one_block
+        schedule = make_schedule("vcycle:10", 3, 100, 20)
+        plain, pre = (
+            sampler(h, y, spec, schedule, SolverConfig(), RandomStream(seed),
+                    preconditioned=flag)
+            for flag in (False, True)
+        )
+        assert pre.counts.tolist() == plain.counts.tolist()
+        assert pre.cg_solves.tolist() == plain.cg_solves.tolist()
+        gaps = [np.linalg.norm(a - b) / np.linalg.norm(b)
+                for a, b in zip(pre.level_sums, plain.level_sums)]
+        assert max(gaps) <= 1e-6, gaps
 
     def test_coarse_shift_is_restricted_shift(self, mixed):
         from mlgibbs.gibbs import assemble_lambda

@@ -232,6 +232,41 @@ class TestTwoLevelPreconditioner:
         assert np.linalg.norm(x_pre - ref) <= 1e-5 * scale
 
 
+def clustered_levels(rng):
+    """A three-level clustered hierarchy (no fixed columns) and the shift."""
+    X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
+    h = build_hierarchy(X, 0, (5, 15), 3)
+    assert h.widths() == [12, 23, 72]
+    return h, 0.3
+
+
+def ill_conditioned_levels(rng):
+    """Criterion 12's two-level hierarchy and its shift."""
+    X, assignment, shift, _ = ill_conditioned_gram(rng)
+    P = build_prolongator(assignment)
+    return LevelHierarchy([coarsen(X, P), X], [P], [0, 0]), shift[0]
+
+
+@pytest.mark.parametrize("problem", [clustered_levels, ill_conditioned_levels])
+def test_eigen_kind_matches_dense_solve(rng, problem):
+    # a one-valued shift takes the eigenbasis, not a Cholesky factor
+    h, s = problem(rng)
+    X0 = h.matrices[0]
+    shift0 = np.full(X0.n_cols, s)
+    factor = solvers.factor_coarse(h, shift0)
+    assert factor[0] is h.coarse_eigh[0]
+    assert not isinstance(factor[1], bool)
+    D0 = X0.to_dense()
+    rhs = rng.standard_normal(X0.n_cols)
+    want = np.linalg.solve(D0.T @ D0 + np.diag(shift0), rhs)
+    M = build_two_level(h, 0, shift0, factor)
+    got = precond_apply(M, rhs)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    x, report = cg_solve(lambda v: gram_apply(X0, shift0, v), rhs, precond=M)
+    assert report.converged and report.iterations == 1
+    assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
 # The solve path as it was written before the in-place CG and the direct
 # CSR kernel calls: scipy's `@`, a separate residual norm and fresh
 # temporaries per iteration. The current code must give the same bits.
