@@ -33,10 +33,6 @@ class MixedModelSpec:
     alpha_u: float = 1.0
     beta_u: float = 1e-3
 
-    @property
-    def width(self):
-        return self.n_fixed + self.n_random
-
     def at_width(self, n_fixed, n_random):
         """Same priors at a different (coarser) column split."""
         return replace(self, n_fixed=n_fixed, n_random=n_random)

@@ -208,8 +208,9 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     level 0. coupling="solves" re-solves the level l-1 system with the
     draw's tau, lam_v, lam_u and e1 and with e2 restricted;
     coupling="projection" takes b_{l-1} = P_l^T b_l without a second
-    solve. Preconditioned, each draw factors the coarsest-level system
-    once and every solve of the draw shares that factor; a one-level
+    solve. Preconditioned, each draw makes factor_coarse's exact solve of
+    level 0 once, which level 0 takes as its preconditioner and every
+    level >= 1 as build_two_level's coarse correction; a one-level
     hierarchy has no coarse space and runs plain CG.
     """
     if any(c not in COUPLING_KINDS for c in couplings):
@@ -218,11 +219,13 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     specs = [spec.at_width(gb, m.n_cols - gb)
              for m, gb in zip(hierarchy.matrices, hierarchy.group_boundaries)]
     precond = preconditioned and hierarchy.n_levels >= 2
-    state = factor = None
+    state = coarse = None
 
     def solve(level, lam, e1, e2, x0):
-        # one noise-injection solve at `level` with the draw's coarse factor
-        M = None if factor is None else build_two_level(hierarchy, level, lam / state.tau, factor)
+        # one noise-injection solve at `level` with the draw's coarse solve
+        M = coarse
+        if level and coarse is not None:
+            M = build_two_level(hierarchy, level, lam / state.tau, coarse)
         b, report = solve_noise_system(
             hierarchy.matrices[level], y, state.tau, lam, e1, e2, config, precond=M, x0=x0
         )
@@ -248,11 +251,15 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
             if not (0 < state.tau < math.inf and max(1.0, float(lam.max())) / state.tau <= 1e100):
                 raise NumericalError(f"noise precision tau = {state.tau} at level {lvl}: "
                                      "1/tau or Lambda/tau is past 1e100")
+            if not float(lam.min()) / state.tau > 0:
+                name = "lam_v" if spec_l.n_fixed and not state.lam_v / state.tau > 0 else "lam_u"
+                raise NumericalError(f"effect precision {name} = {getattr(state, name)} at "
+                                     f"level {lvl}: Lambda/tau is not positive")
             if precond:
                 # Lambda_0/tau: the level-l shift restricted to level 0, since
                 # no cluster mixes fixed and random columns
                 lam0 = assemble_lambda(specs[0], state.lam_v, state.lam_u)
-                factor = factor_coarse(hierarchy, lam0 / state.tau)
+                coarse = factor_coarse(hierarchy, lam0 / state.tau)
             e1, e2 = draw_noise(X_l, state.tau, lam, stream)
             b = solve(lvl, lam, e1, e2, state.b)
             if acc.trace is not None:

@@ -3,8 +3,8 @@
 The two-level preconditioner uses a fixed number of CG smoothing steps,
 which makes it a nonlinear operator; the outer iteration therefore
 switches to the flexible CG beta when a preconditioner is supplied. At
-the coarsest level the preconditioner is the exact solve with the dense
-coarse factor, so flexible CG converges there in one iteration.
+the coarsest level the preconditioner is factor_coarse's exact solve
+itself, so flexible CG converges there in one iteration.
 """
 
 import math
@@ -112,18 +112,19 @@ def _cg(apply_A, x, r, stop, max_iter, precond):
 class TwoLevelPreconditioner:
     apply_fine: object  # action of the fine-level Gram operator
     hierarchy: object = field(repr=False)
-    level: int  # the level whose Gram system it preconditions
-    coarse_factor: tuple = field(repr=False)  # factor_coarse's (Q, 1/(w + s)) or (c, lower)
+    level: int  # the level >= 1 whose Gram system it preconditions
+    coarse_solve: object = field(repr=False)  # factor_coarse's exact coarsest-level solve
 
     def __call__(self, r):
         return precond_apply(self, r)
 
 
 def factor_coarse(hierarchy, shift0):
-    """Factor of the coarsest-level system X_0^T X_0 + diag(shift0), for
-    _coarse_solve. A shift of one value s gives the eigen kind
-    (Q, 1/(w + s)) on hierarchy.coarse_eigh, formed once per hierarchy,
-    so each draw costs O(n0); any other shift cho_factor's (c, lower)."""
+    """The exact solve r -> (X_0^T X_0 + diag(shift0))^-1 r of the
+    coarsest level. A shift of one value s solves in hierarchy.coarse_eigh,
+    formed once per hierarchy, as Q ((Q^T r) / (w + s)), so each draw costs
+    O(n0); any other shift by cho_factor and LAPACK's dpotrs, the solve
+    behind cho_solve without its wrapper's checks (cho_factor checked G0)."""
     X0 = hierarchy.matrices[0]
     if X0.n_cols > DENSE_CAP:
         raise SetupError(f"coarse width {X0.n_cols} exceeds dense cap {DENSE_CAP}")
@@ -132,48 +133,36 @@ def factor_coarse(hierarchy, shift0):
         d = w + shift0[0]
         if not d[0] > 1e-12 * d.mean():
             d = d + 1e-12 * d.mean()  # the jitter below, for a singular system
-        return Q, 1.0 / d
+        inv = 1.0 / d
+        return lambda r: Q @ ((Q.T @ r) * inv)
     G0 = hierarchy.coarse_gram + np.diag(shift0)
     try:
-        return cho_factor(G0)
+        c, lower = cho_factor(G0)
     except np.linalg.LinAlgError:
         G0 = G0 + np.eye(G0.shape[0]) * (1e-12 * np.trace(G0) / G0.shape[0])
-        return cho_factor(G0)
+        c, lower = cho_factor(G0)
+    return lambda r: dpotrs(c, r, lower=lower)[0]
 
 
-def _coarse_solve(factor, r):
-    """Exact coarsest-level solve with a factor_coarse factor: Q ((Q^T r) /
-    (w + s)) in the eigenbasis, else LAPACK's dpotrs, the solve behind
-    cho_solve without its wrapper's checks (cho_factor checked G0)."""
-    basis, inv = factor
-    if isinstance(inv, bool):  # cho_factor's `lower` flag
-        return dpotrs(basis, r, lower=inv)[0]
-    return basis @ ((basis.T @ r) * inv)
-
-
-def build_two_level(hierarchy, level, shift_diag, coarse_factor):
-    """Two-level preconditioner for the Gram system at `level`: CG
-    pre-smoothing plus an exact coarsest-level correction with
-    coarse_factor, a factor_coarse of the coarsest system; at level 0 the
-    exact coarse solve alone."""
-    if hierarchy.n_levels < 2 or not 0 <= level < hierarchy.n_levels:
+def build_two_level(hierarchy, level, shift_diag, coarse_solve):
+    """Two-level preconditioner for the Gram system at `level` >= 1: CG
+    pre-smoothing plus an exact coarsest-level correction by coarse_solve,
+    factor_coarse's solve, which level 0 takes as its whole preconditioner."""
+    if not 1 <= level < hierarchy.n_levels:
         raise SetupError(f"no coarse space for level {level}")
     X_l = hierarchy.matrices[level]
     return TwoLevelPreconditioner(
         apply_fine=partial(gram_apply, X_l, np.asarray(shift_diag, dtype=np.float64)),
         hierarchy=hierarchy,
         level=level,
-        coarse_factor=coarse_factor,
+        coarse_solve=coarse_solve,
     )
 
 
 def precond_apply(M, r):
     """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the
-    prolongated exact coarse correction; at level 0 only the exact solve."""
-    # a non-finite r raises NumericalError in the smoother or, at level 0,
-    # in the CG step that follows
-    if M.level == 0:
-        return _coarse_solve(M.coarse_factor, r)
+    prolongated exact coarse correction."""
+    # a non-finite r raises NumericalError in the smoother
     z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
     resid = M.hierarchy.transfer(r - M.apply_fine(z), M.level, 0)
-    return z + M.hierarchy.transfer(_coarse_solve(M.coarse_factor, resid), 0, M.level)
+    return z + M.hierarchy.transfer(M.coarse_solve(resid), 0, M.level)

@@ -466,6 +466,27 @@ class TestRunExperiment:
         assert any(e and e.startswith("NumericalError: noise precision") for e in errors)
         assert all(e is None or e.startswith("NumericalError") for e in errors)
 
+    @pytest.mark.parametrize("kw", [
+        dict(sampler="gibbs"), dict(sampler="ml"), dict(sampler="ml", preconditioned=True),
+        dict(sampler="mlcss"), dict(sampler="mlcss", preconditioned=True),
+    ])
+    @pytest.mark.parametrize("prior, name, n_failed", [
+        (dict(alpha_u=1e-3, beta_u=1e-3), "lam_u", 8),
+        (dict(n_fixed=4, alpha_v=1e-3, beta_v=1e-3), "lam_v", 10),
+    ])
+    def test_zero_effect_precision_fails_before_cg(self, kw, prior, name, n_failed):
+        # the vague Gamma(1e-3, 1e-3) effect prior draws a precision of 0.0 in
+        # some folds: they fail before any solve, naming that precision
+        X = cluster_sparse(np.random.default_rng(3), 20, 12, 4, 6)
+        errors = []
+        for seed in range(10):
+            cfg = ExperimentConfig(samples=40, burn_in=5, levels=2, folds=2, seed=seed,
+                                   coarse_range=(20, 30), **prior, **kw)
+            errors += [f.error for f in run_experiment(cfg, X=X).folds if f.error]
+        assert len(errors) == n_failed
+        assert all(e.startswith(f"NumericalError: effect precision {name} = 0.0 at level 0")
+                   for e in errors)
+
     def test_tiny_noise_precision_fails_before_cg(self):
         # fold 0 draws tau = 6.6e-156: finite 1/tau and Lambda/tau, but its
         # noise overflows the right-hand side's norm (a RuntimeWarning, an

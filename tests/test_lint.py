@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "mlgibbs"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "mlgibbs"
 # __init__.py imports names to re-export them
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
@@ -47,6 +48,54 @@ def unused_private_names(sources):
             unused += [f"{module}:{n}" for n in names
                        if n.startswith("_") and not n.startswith("__") and n not in read]
     return unused
+
+
+def unused_public_names(package, readers):
+    """Public module-level functions and classes of `package`, and public
+    methods and properties of those classes, that none of `readers` reads,
+    as "module:name" or "module:Class.name" in definition order. A method
+    is read by an attribute or a string literal (a traced function's name),
+    a module-level name also by a bare name or an import."""
+    names, attrs = set(), set()
+    for source in readers:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                names.add(n.id)
+            elif isinstance(n, ast.alias):
+                names.add(n.name.split(".")[-1])
+            elif isinstance(n, ast.Attribute):
+                attrs.add(n.attr)
+            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+                attrs.add(n.value)
+    unused = []
+    for module, source in package.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node.name, names | attrs)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{m.name}", m.name, attrs) for m in node.body
+                         if isinstance(m, ast.FunctionDef)]
+            unused += [f"{module}:{full}" for full, name, read in defs
+                       if not name.startswith("_") and name not in read]
+    return unused
+
+
+def test_unused_public_names_found():
+    package = {"a": "def f():\n    pass\ndef g():\n    pass\ndef _h():\n    pass\n"
+                    "class C:\n    def m(self):\n        pass\n    @property\n"
+                    "    def p(self):\n        return 1\n    def __call__(self):\n        pass\n",
+               "b": "from .a import f as f2\nclass D:\n    pass\n"}
+    # a bare name `m` reads the module-level name, not the method
+    readers = [*package.values(), "TRACED = (('a', 'g'),)\nm = C().p\nprint(m)\n"]
+    assert unused_public_names(package, readers) == ["a:C.m", "b:D"]
+
+
+def test_no_unused_public_names():
+    package = {p.stem: p.read_text() for p in PACKAGE.glob("*.py")}
+    readers = [p.read_text() for d in ("src", "tests", "perfbench")
+               for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unused_public_names(package, readers) == []
 
 
 def test_unused_private_names_found():

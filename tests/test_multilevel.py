@@ -403,6 +403,27 @@ class TestPreconditionedChain:
         assert acc.cg_solves.sum() == 100 + acc.counts[1:].sum() > 100
         assert calls == [(h.widths()[0],) * 2] * 100
 
+    def test_two_level_built_above_level_zero_only(self, monkeypatch):
+        # the pinned preconditioned `solves` run: 80 solves above level 0,
+        # while its 80 level-0 solves take the draw's coarse solve itself
+        from mlgibbs import multilevel
+
+        X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
+        y = np.random.default_rng(12).standard_normal(60) * 3
+        h = build_hierarchy(X, 6, (5, 15), 3)
+        levels, real = [], multilevel.build_two_level
+
+        def counting(hierarchy, level, *args):
+            levels.append(level)
+            return real(hierarchy, level, *args)
+
+        monkeypatch.setattr(multilevel, "build_two_level", counting)
+        schedule = make_schedule("vcycle:10", 3, 100, 20)
+        acc = run_ml_cs(h, y, MixedModelSpec(6, X.n_cols - 6), schedule, SolverConfig(),
+                        RandomStream(23), coupling="solves", preconditioned=True)
+        assert acc.cg_solves.tolist() == [80, 60, 20]
+        assert len(levels) == acc.cg_solves[1:].sum() == 80 and min(levels) == 1
+
     @pytest.fixture()
     def one_block(self):
         X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)

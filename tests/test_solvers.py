@@ -198,9 +198,9 @@ class TestTwoLevelPreconditioner:
         h = build_hierarchy(X, 0, (5, 15), 3)
         X0 = h.matrices[0]
         shift = rng.uniform(0.01, 1.0, X0.n_cols)
-        M = two_level(h, 0, shift)
         rhs = rng.standard_normal(X0.n_cols)
-        x, report = cg_solve(lambda v: gram_apply(X0, shift, v), rhs, precond=M)
+        x, report = cg_solve(lambda v: gram_apply(X0, shift, v), rhs,
+                             precond=solvers.factor_coarse(h, shift))
         assert report.converged and report.iterations == 1
         D0 = X0.to_dense()
         want = np.linalg.solve(D0.T @ D0 + np.diag(shift), rhs)
@@ -211,6 +211,14 @@ class TestTwoLevelPreconditioner:
         h = build_hierarchy(X, 0, (12, 12), 1)
         with pytest.raises(SetupError):
             two_level(h, 0, np.ones(X.n_cols))
+
+    def test_level_zero_rejected(self, rng):
+        # level 0 takes factor_coarse's solve itself, not a two-level cycle
+        X = cluster_sparse(rng, 40, 8, 5, 6)
+        h = build_hierarchy(X, 0, (5, 15), 3)
+        shift = np.ones(h.widths()[0])
+        with pytest.raises(SetupError):
+            build_two_level(h, 0, shift, solvers.factor_coarse(h, shift))
 
     def test_fewer_iterations_than_plain(self, rng):
         X, assignment, shift, G = ill_conditioned_gram(rng)
@@ -253,18 +261,27 @@ def test_eigen_kind_matches_dense_solve(rng, problem):
     h, s = problem(rng)
     X0 = h.matrices[0]
     shift0 = np.full(X0.n_cols, s)
-    factor = solvers.factor_coarse(h, shift0)
-    assert factor[0] is h.coarse_eigh[0]
-    assert not isinstance(factor[1], bool)
+    coarse_solve = solvers.factor_coarse(h, shift0)
     D0 = X0.to_dense()
     rhs = rng.standard_normal(X0.n_cols)
     want = np.linalg.solve(D0.T @ D0 + np.diag(shift0), rhs)
-    M = build_two_level(h, 0, shift0, factor)
-    got = precond_apply(M, rhs)
+    got = coarse_solve(rhs)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    x, report = cg_solve(lambda v: gram_apply(X0, shift0, v), rhs, precond=M)
+    x, report = cg_solve(lambda v: gram_apply(X0, shift0, v), rhs, precond=coarse_solve)
     assert report.converged and report.iterations == 1
     assert np.linalg.norm(x - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_two_valued_shift_matches_dense_solve(mixed_system):
+    # a shift of two values takes the Cholesky factor, not the eigenbasis
+    h, _, rhs = mixed_system
+    D0 = h.matrices[0].to_dense()
+    shift0 = np.where(np.arange(D0.shape[1]) < h.group_boundaries[0], 0.02, 0.7)
+    assert np.unique(shift0).size == 2
+    r = rhs[: D0.shape[1]]
+    want = np.linalg.solve(D0.T @ D0 + np.diag(shift0), r)
+    got = solvers.factor_coarse(h, shift0)(r)
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
 # The solve path as it was written before the in-place CG and the direct
@@ -395,11 +412,13 @@ class TestBitIdentity:
         shift = np.where(np.arange(X.n_cols) < h.group_boundaries[level], 0.02, 0.7)
         b = rhs[: X.n_cols]
         ref_precond, factor = reference_two_level(h, level, shift)
-        coarse_factor = solvers.factor_coarse(h, restricted_shift(h, level, shift))
-        M = build_two_level(h, level, shift, coarse_factor)
-        # the preconditioner shares the factor it is given
-        assert M.coarse_factor is coarse_factor
-        assert np.array_equal(M.coarse_factor[0], factor[0])
+        coarse_solve = solvers.factor_coarse(h, restricted_shift(h, level, shift))
+        M = build_two_level(h, level, shift, coarse_solve)
+        # the preconditioner shares the solve it is given, which matches
+        # cho_solve with the reference factor bit for bit
+        assert M.coarse_solve is coarse_solve
+        v = b[: h.widths()[0]]
+        assert np.array_equal(coarse_solve(v), cho_solve(factor, v))
         want = reference_cg(reference_gram(X, shift), b, b, 1e-10, max_iter, ref_precond)
         got = cg_solve(lambda v: gram_apply(X, shift, v), b, b, 1e-10, max_iter, M)
         assert_same_solve(got, want)
