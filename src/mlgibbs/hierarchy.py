@@ -72,14 +72,22 @@ class LevelHierarchy:
         return gram
 
     @cached_property
-    def coarse_eigh(self):
-        """(Q, w) with coarse_gram = Q diag(w) Q^T, w clipped at 0 since the
-        Gram matrix is PSD; formed on first use and kept read-only like it.
-        Under a one-valued shift s every coarse system is Q diag(w + s) Q^T."""
-        w, Q = np.linalg.eigh(self.coarse_gram)
-        w = np.maximum(w, 0.0)
-        w.flags.writeable = Q.flags.writeable = False
-        return Q, w
+    def _bases(self):
+        return {}  # level -> basis(level)
+
+    def basis(self, level):
+        """(Q, w, dual) of a level: Q diag(w) Q^T is X_l^T X_l (primal) when
+        the level is no wider than tall, else X_l X_l^T (dual), with w
+        clipped at 0 since both are PSD. Formed on first use, once per
+        hierarchy, and kept read-only."""
+        if level not in self._bases:
+            D = self.matrices[level].to_dense()
+            dual = D.shape[1] > D.shape[0]
+            w, Q = np.linalg.eigh(D @ D.T if dual else D.T @ D)
+            w = np.maximum(w, 0.0)
+            w.flags.writeable = Q.flags.writeable = False
+            self._bases[level] = Q, w, dual
+        return self._bases[level]
 
     def transfer(self, v, level, target):
         """Carry a vector from `level` to `target`, one level at a time:

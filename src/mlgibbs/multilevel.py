@@ -18,7 +18,7 @@ from .gibbs import (
     sample_hyperparams,
     solve_noise_system,
 )
-from .solvers import SolverConfig, build_two_level, factor_coarse
+from .solvers import SolverConfig, build_two_level, exact_solve, factor_coarse
 from .sparse import spmv
 
 # how a telescoping chain couples level l to level l-1: a second solve, or
@@ -209,23 +209,32 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     draw's tau, lam_v, lam_u and e1 and with e2 restricted;
     coupling="projection" takes b_{l-1} = P_l^T b_l without a second
     solve. Preconditioned, each draw makes factor_coarse's exact solve of
-    level 0 once, which level 0 takes as its preconditioner and every
-    level >= 1 as build_two_level's coarse correction; a one-level
-    hierarchy has no coarse space and runs plain CG.
+    level 0 once, which level 0 takes as its preconditioner. A level
+    between level 0 and the finest takes exact_solve's exact solve as its
+    preconditioner when the draw's shift there has one value (no fixed
+    effects) and the level's basis dimension min(rows, width) is within
+    BASIS_CAP. Every other level >= 1, the finest always, takes
+    build_two_level's cycle, with level 0's solve as its coarse
+    correction. A one-level hierarchy has no coarse space and runs plain
+    CG.
     """
     if any(c not in COUPLING_KINDS for c in couplings):
         raise ConfigError(f"unknown coupling in {couplings!r}")
     config = config or SolverConfig()
     specs = [spec.at_width(gb, m.n_cols - gb)
              for m, gb in zip(hierarchy.matrices, hierarchy.group_boundaries)]
-    precond = preconditioned and hierarchy.n_levels >= 2
+    L = hierarchy.n_levels - 1
+    precond = preconditioned and L >= 1
     state = coarse = None
 
     def solve(level, lam, e1, e2, x0):
         # one noise-injection solve at `level` with the draw's coarse solve
         M = coarse
         if level and coarse is not None:
-            M = build_two_level(hierarchy, level, lam / state.tau, coarse)
+            shift = lam / state.tau
+            M = exact_solve(hierarchy, level, shift) if level < L else None
+            if M is None:
+                M = build_two_level(hierarchy, level, shift, coarse)
         b, report = solve_noise_system(
             hierarchy.matrices[level], y, state.tau, lam, e1, e2, config, precond=M, x0=x0
         )

@@ -1,10 +1,15 @@
-"""Matrix-free conjugate gradient with an optional two-level preconditioner.
+"""Matrix-free conjugate gradient with an optional two-level preconditioner,
+and exact solves that serve as preconditioners of their own level.
 
 The two-level preconditioner uses a fixed number of CG smoothing steps,
 which makes it a nonlinear operator; the outer iteration therefore
-switches to the flexible CG beta when a preconditioner is supplied. At
-the coarsest level the preconditioner is factor_coarse's exact solve
-itself, so flexible CG converges there in one iteration.
+switches to the flexible CG beta when a preconditioner is supplied. An
+exact solve is the whole preconditioner of its level, so flexible CG
+converges there in one iteration. The coarsest level always has one,
+factor_coarse's. Under a one-valued shift, every other level below the
+finest whose basis dimension min(rows, width) is within BASIS_CAP has
+one too, exact_solve's, in the level's eigenbasis: primal (of X^T X)
+when the level is no wider than tall, dual (of X X^T) otherwise.
 """
 
 import math
@@ -16,7 +21,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .errors import NumericalError, SetupError
-from .sparse import gram_apply
+from .sparse import gram_apply, spmv, spmv_t
 
 
 @dataclass
@@ -26,10 +31,15 @@ class SolveReport:
     converged: bool
 
 
-# the two-level preconditioner's CG pre-smoothing steps, and the widest
-# coarsest level whose Gram matrix it factors densely
+# the two-level preconditioner's CG pre-smoothing steps; the widest
+# coarsest level whose Gram matrix it factors densely; and the largest
+# basis dimension min(rows, width) of a level above it that exact_solve
+# solves in its eigenbasis (on 2 shared CPUs with one BLAS thread, an eigh
+# took 0.26 s and an apply 0.78 ms at 1000; at 2000, 1.8 s and 3.8 ms, more
+# than a whole preconditioned CG solve on 333 rows)
 SMOOTH_STEPS = 2
 DENSE_CAP = 10_000
+BASIS_CAP = 1000
 
 
 @dataclass
@@ -119,22 +129,43 @@ class TwoLevelPreconditioner:
         return precond_apply(self, r)
 
 
+def exact_solve(hierarchy, level, shift):
+    """The exact solve r -> (X_l^T X_l + s I)^-1 r of `level` for a shift
+    of one value s, in hierarchy.basis(level): Q ((Q^T r) / (w + s)) in a
+    primal basis, and (r - X^T Q ((Q^T X r) / (w + s))) / s in a dual one,
+    since (X^T X + sI)^-1 = (I - X^T (X X^T + sI)^-1 X) / s. None for any
+    other shift, or above level 0 past BASIS_CAP."""
+    X = hierarchy.matrices[level]
+    if np.ptp(shift) or (level and min(X.shape) > BASIS_CAP):
+        return None
+    Q, w, dual = hierarchy.basis(level)
+    s = shift[0]
+    d = w + s
+    # the least and the mean eigenvalue of X^T X + sI, which in a dual basis
+    # has s on the null space of X; a singular system takes the jitter of
+    # cho_factor's below
+    low, mean = (s, w.sum() / X.n_cols + s) if dual else (d[0], d.mean())
+    if not low > 1e-12 * mean:
+        jitter = 1e-12 * mean
+        d, s = d + jitter, s + jitter
+    inv = 1.0 / d
+    if dual:
+        return lambda r: (r - spmv_t(X, Q @ ((Q.T @ spmv(X, r)) * inv))) / s
+    return lambda r: Q @ ((Q.T @ r) * inv)
+
+
 def factor_coarse(hierarchy, shift0):
     """The exact solve r -> (X_0^T X_0 + diag(shift0))^-1 r of the
-    coarsest level. A shift of one value s solves in hierarchy.coarse_eigh,
-    formed once per hierarchy, as Q ((Q^T r) / (w + s)), so each draw costs
-    O(n0); any other shift by cho_factor and LAPACK's dpotrs, the solve
-    behind cho_solve without its wrapper's checks (cho_factor checked G0)."""
+    coarsest level: exact_solve's for a shift of one value, so each draw
+    costs O(n0); for any other shift cho_factor and LAPACK's dpotrs, the
+    solve behind cho_solve without its wrapper's checks (cho_factor checked
+    G0)."""
     X0 = hierarchy.matrices[0]
     if X0.n_cols > DENSE_CAP:
         raise SetupError(f"coarse width {X0.n_cols} exceeds dense cap {DENSE_CAP}")
-    if np.ptp(shift0) == 0:
-        Q, w = hierarchy.coarse_eigh
-        d = w + shift0[0]
-        if not d[0] > 1e-12 * d.mean():
-            d = d + 1e-12 * d.mean()  # the jitter below, for a singular system
-        inv = 1.0 / d
-        return lambda r: Q @ ((Q.T @ r) * inv)
+    solve = exact_solve(hierarchy, 0, shift0)
+    if solve is not None:
+        return solve
     G0 = hierarchy.coarse_gram + np.diag(shift0)
     try:
         c, lower = cho_factor(G0)

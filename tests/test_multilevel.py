@@ -453,7 +453,59 @@ class TestPreconditionedChain:
             acc = run_ml_cs(fresh, y, spec, schedule, SolverConfig(), RandomStream(3),
                             coupling="solves", preconditioned=True)
             assert acc.cg_solves.sum() > 100
-        assert calls == [(h.widths()[0],) * 2] * 2
+        # one basis for each level below the finest, shared by the runs on h
+        # and formed again for the fresh hierarchy
+        assert calls == [(w, w) for w in h.widths()[:-1]] * 2
+
+    @pytest.fixture()
+    def two_level_levels(self, monkeypatch):
+        """The levels build_two_level is called with, in call order."""
+        from mlgibbs import multilevel
+
+        levels, real = [], multilevel.build_two_level
+
+        def counting(hierarchy, level, *args):
+            levels.append(level)
+            return real(hierarchy, level, *args)
+
+        monkeypatch.setattr(multilevel, "build_two_level", counting)
+        return levels
+
+    @pytest.mark.parametrize("sampler", [run_ml_gibbs, partial(run_ml_cs, coupling="solves")],
+                             ids=["ml_gibbs", "ml_cs_solves"])
+    def test_one_block_exact_below_the_finest(self, one_block, two_level_levels, sampler):
+        # every level below the finest is solved exactly, in one CG
+        # iteration; only the finest takes the two-level cycle
+        h, y, spec = one_block
+        L = h.n_levels - 1
+        acc = sampler(h, y, spec, make_schedule("vcycle:10", 3, 100, 20), SolverConfig(),
+                      RandomStream(23), preconditioned=True)
+        assert acc.cg_solves[:L].min() > 0
+        assert acc.cg_iters[:L].tolist() == acc.cg_solves[:L].tolist()
+        assert set(two_level_levels) == {L}
+        assert len(two_level_levels) == acc.cg_solves[L]
+
+    def test_one_block_past_basis_cap_takes_the_cycle(self, one_block, two_level_levels,
+                                                      monkeypatch):
+        # a level whose basis dimension is past BASIS_CAP takes the two-level
+        # cycle again, and still meets the preconditioned-vs-plain oracle
+        from mlgibbs import solvers
+
+        h, y, spec = one_block
+        monkeypatch.setattr(solvers, "BASIS_CAP", min(h.matrices[1].shape) - 1)
+        schedule = make_schedule("vcycle:10", 3, 100, 20)
+        plain, pre = (
+            run_ml_cs(h, y, spec, schedule, SolverConfig(), RandomStream(23),
+                      coupling="solves", preconditioned=flag)
+            for flag in (False, True)
+        )
+        assert set(two_level_levels) == {1, 2}
+        assert len(two_level_levels) == pre.cg_solves[1:].sum()
+        assert pre.cg_iters[0] == pre.cg_solves[0]
+        assert pre.cg_solves.tolist() == plain.cg_solves.tolist()
+        gaps = [np.linalg.norm(a - b) / np.linalg.norm(b)
+                for a, b in zip(pre.level_sums, plain.level_sums)]
+        assert max(gaps) <= 1e-6, gaps
 
     @pytest.mark.parametrize("sampler, seed", [
         (run_ml_gibbs, 22),

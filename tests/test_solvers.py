@@ -284,6 +284,56 @@ def test_two_valued_shift_matches_dense_solve(mixed_system):
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
+def primal_and_dual_levels():
+    """A three-level hierarchy of 20 rows: level 0 is narrower than tall
+    (a primal basis), levels 1 and 2 are wider (a dual basis)."""
+    X = cluster_sparse(np.random.default_rng(11), 20, 12, 6, 6)
+    h = build_hierarchy(X, 0, (5, 15), 3)
+    assert h.widths() == [12, 23, 72]
+    assert [h.basis(level)[2] for level in range(3)] == [False, True, True]
+    return h
+
+
+class TestExactSolve:
+    @pytest.mark.parametrize("s", [1.0, 90.0])
+    def test_matches_dense_solve(self, rng, s):
+        h = primal_and_dual_levels()
+        for level, X in enumerate(h.matrices):
+            D = X.to_dense()
+            shift = np.full(X.n_cols, s)
+            r = rng.standard_normal(X.n_cols)
+            want = np.linalg.solve(D.T @ D + np.diag(shift), r)
+            got = solvers.exact_solve(h, level, shift)(r)
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_preconditions_cg_at_a_tiny_shift(self, rng):
+        h = primal_and_dual_levels()
+        for level, X in enumerate(h.matrices):
+            shift = np.full(X.n_cols, 1e-6)
+            x, report = cg_solve(lambda v: gram_apply(X, shift, v), rng.standard_normal(X.n_cols),
+                                 precond=solvers.exact_solve(h, level, shift))
+            assert report.converged and report.iterations <= 2
+
+    def test_non_finite_residual_raises(self):
+        h = primal_and_dual_levels()
+        for level, X in enumerate(h.matrices):
+            shift = np.ones(X.n_cols)
+            r = np.ones(X.n_cols)
+            r[3] = np.nan
+            with pytest.raises(NumericalError):
+                cg_solve(lambda v: gram_apply(X, shift, v), r,
+                         precond=solvers.exact_solve(h, level, shift))
+
+    def test_none_for_two_values_or_past_the_cap(self, monkeypatch):
+        # level 0 keeps its exact solve past BASIS_CAP: factor_coarse's
+        h = primal_and_dual_levels()
+        two_valued = np.where(np.arange(23) < 4, 0.02, 0.7)
+        assert solvers.exact_solve(h, 1, two_valued) is None
+        monkeypatch.setattr(solvers, "BASIS_CAP", 5)
+        assert solvers.exact_solve(h, 1, np.ones(23)) is None
+        assert solvers.exact_solve(h, 0, np.ones(12)) is not None
+
+
 # The solve path as it was written before the in-place CG and the direct
 # CSR kernel calls: scipy's `@`, a separate residual norm and fresh
 # temporaries per iteration. The current code must give the same bits.
