@@ -65,7 +65,8 @@ class LevelHierarchy:
     @cached_property
     def coarse_gram(self):
         """Dense X_0^T X_0 of the coarsest level, formed on first use and
-        kept read-only: every two-level preconditioner adds its shift to it."""
+        kept read-only: factor_coarse adds each shift of more than one
+        value to it."""
         D0 = self.matrices[0].to_dense()
         gram = D0.T @ D0
         gram.flags.writeable = False
@@ -79,11 +80,13 @@ class LevelHierarchy:
         """(Q, w, dual) of a level: Q diag(w) Q^T is X_l^T X_l (primal) when
         the level is no wider than tall, else X_l X_l^T (dual), with w
         clipped at 0 since both are PSD. Formed on first use, once per
-        hierarchy, and kept read-only."""
+        hierarchy, from the sparse product (X_l is never densified), and
+        kept read-only."""
         if level not in self._bases:
-            D = self.matrices[level].to_dense()
-            dual = D.shape[1] > D.shape[0]
-            w, Q = np.linalg.eigh(D @ D.T if dual else D.T @ D)
+            X = self.matrices[level]
+            dual = X.n_cols > X.n_rows
+            gram = X.csr @ X.csr_t if dual else X.csr_t @ X.csr
+            w, Q = np.linalg.eigh(gram.toarray())
             w = np.maximum(w, 0.0)
             w.flags.writeable = Q.flags.writeable = False
             self._bases[level] = Q, w, dual

@@ -214,9 +214,11 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     preconditioner when the draw's shift there has one value (no fixed
     effects) and the level's basis dimension min(rows, width) is within
     BASIS_CAP. Every other level >= 1, the finest always, takes
-    build_two_level's cycle, with level 0's solve as its coarse
-    correction. A one-level hierarchy has no coarse space and runs plain
-    CG.
+    build_two_level's cycle, which corrects at the nearest level below it
+    that has an exact solve: level L-1 of a one-block chain within the
+    cap, level 0 with the draw's factor_coarse solve when no level between
+    has one (a two-block chain always). A one-level hierarchy has no
+    coarse space and runs plain CG.
     """
     if any(c not in COUPLING_KINDS for c in couplings):
         raise ConfigError(f"unknown coupling in {couplings!r}")
@@ -227,14 +229,23 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     precond = preconditioned and L >= 1
     state = coarse = None
 
+    def exact(level):
+        # the draw's exact solve of `level`, or None; level 0 always has one
+        if not level:
+            return coarse
+        lam = assemble_lambda(specs[level], state.lam_v, state.lam_u)
+        return exact_solve(hierarchy, level, lam / state.tau)
+
     def solve(level, lam, e1, e2, x0):
-        # one noise-injection solve at `level` with the draw's coarse solve
-        M = coarse
-        if level and coarse is not None:
-            shift = lam / state.tau
-            M = exact_solve(hierarchy, level, shift) if level < L else None
+        # one noise-injection solve at `level` with the draw's exact solves
+        M = None
+        if coarse is not None:
+            M = exact(level) if level < L else None
             if M is None:
-                M = build_two_level(hierarchy, level, shift, coarse)
+                c = level - 1
+                while (C := exact(c)) is None:
+                    c -= 1
+                M = build_two_level(hierarchy, level, lam / state.tau, C, c)
         b, report = solve_noise_system(
             hierarchy.matrices[level], y, state.tau, lam, e1, e2, config, precond=M, x0=x0
         )

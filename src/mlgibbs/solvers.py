@@ -9,7 +9,10 @@ converges there in one iteration. The coarsest level always has one,
 factor_coarse's. Under a one-valued shift, every other level below the
 finest whose basis dimension min(rows, width) is within BASIS_CAP has
 one too, exact_solve's, in the level's eigenbasis: primal (of X^T X)
-when the level is no wider than tall, dual (of X X^T) otherwise.
+when the level is no wider than tall, dual (of X X^T) otherwise. A
+two-level cycle takes its coarse correction from an exact solve of a
+level below its own, its coarse_level: the nearest one that has an exact
+solve, which is level 0 when none between has.
 """
 
 import math
@@ -56,13 +59,17 @@ def cg_solve(apply_A, rhs, x0=None, tol=SolverConfig.tol, max_iter=SolverConfig.
 
     Stops when ||rhs - A x|| <= tol * ||rhs|| or after max_iter
     iterations (best iterate returned, converged=False). With `precond`
-    the flexible-CG update is used.
+    the flexible-CG update is used. A right-hand side whose norm is not
+    finite raises NumericalError.
     """
     rhs = np.asarray(rhs, dtype=np.float64)
     n = rhs.size
     if max_iter is None:
         max_iter = 2 * n
-    rhs_norm = np.linalg.norm(rhs)
+    with np.errstate(over="ignore"):
+        rhs_norm = np.linalg.norm(rhs)
+    if not math.isfinite(rhs_norm):
+        raise NumericalError(f"CG right-hand side has norm {rhs_norm}")
     if rhs_norm == 0.0:
         return np.zeros(n), SolveReport(0, 0.0, True)
     if x0 is None:
@@ -120,10 +127,15 @@ def _cg(apply_A, x, r, stop, max_iter, precond):
 
 @dataclass
 class TwoLevelPreconditioner:
+    """CG smoothing at `level` plus an exact correction at coarse_level,
+    a level below it: the residual goes down to coarse_level, and
+    coarse_solve's solution comes back up."""
+
     apply_fine: object  # action of the fine-level Gram operator
     hierarchy: object = field(repr=False)
     level: int  # the level >= 1 whose Gram system it preconditions
-    coarse_solve: object = field(repr=False)  # factor_coarse's exact coarsest-level solve
+    coarse_solve: object = field(repr=False)  # the exact solve of coarse_level
+    coarse_level: int
 
     def __call__(self, r):
         return precond_apply(self, r)
@@ -175,10 +187,11 @@ def factor_coarse(hierarchy, shift0):
     return lambda r: dpotrs(c, r, lower=lower)[0]
 
 
-def build_two_level(hierarchy, level, shift_diag, coarse_solve):
+def build_two_level(hierarchy, level, shift_diag, coarse_solve, coarse_level=0):
     """Two-level preconditioner for the Gram system at `level` >= 1: CG
-    pre-smoothing plus an exact coarsest-level correction by coarse_solve,
-    factor_coarse's solve, which level 0 takes as its whole preconditioner."""
+    pre-smoothing plus an exact correction at coarse_level < level by
+    coarse_solve, that level's exact solve: factor_coarse's at level 0,
+    which level 0 takes as its whole preconditioner, or exact_solve's."""
     if not 1 <= level < hierarchy.n_levels:
         raise SetupError(f"no coarse space for level {level}")
     X_l = hierarchy.matrices[level]
@@ -187,13 +200,16 @@ def build_two_level(hierarchy, level, shift_diag, coarse_solve):
         hierarchy=hierarchy,
         level=level,
         coarse_solve=coarse_solve,
+        coarse_level=coarse_level,
     )
 
 
 def precond_apply(M, r):
-    """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the
-    prolongated exact coarse correction."""
-    # a non-finite r raises NumericalError in the smoother
-    z, _ = _cg(M.apply_fine, np.zeros(r.size), r.copy(), 0.0, SMOOTH_STEPS, None)
-    resid = M.hierarchy.transfer(r - M.apply_fine(z), M.level, 0)
-    return z + M.hierarchy.transfer(M.coarse_solve(resid), 0, M.level)
+    """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the exact
+    correction of the smoothed residual at M.coarse_level, prolongated."""
+    # a non-finite r raises NumericalError in the smoother, which updates
+    # its copy of r in place to the smoothed residual
+    resid = r.copy()
+    z, _ = _cg(M.apply_fine, np.zeros(r.size), resid, 0.0, SMOOTH_STEPS, None)
+    resid = M.hierarchy.transfer(resid, M.level, M.coarse_level)
+    return z + M.hierarchy.transfer(M.coarse_solve(resid), M.coarse_level, M.level)

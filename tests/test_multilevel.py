@@ -403,26 +403,20 @@ class TestPreconditionedChain:
         assert acc.cg_solves.sum() == 100 + acc.counts[1:].sum() > 100
         assert calls == [(h.widths()[0],) * 2] * 100
 
-    def test_two_level_built_above_level_zero_only(self, monkeypatch):
+    def test_two_level_built_above_level_zero_only(self, two_level_levels):
         # the pinned preconditioned `solves` run: 80 solves above level 0,
-        # while its 80 level-0 solves take the draw's coarse solve itself
-        from mlgibbs import multilevel
-
+        # while its 80 level-0 solves take the draw's coarse solve itself;
+        # a two-valued shift has no exact solve above level 0, so every
+        # cycle corrects at level 0
         X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
         y = np.random.default_rng(12).standard_normal(60) * 3
         h = build_hierarchy(X, 6, (5, 15), 3)
-        levels, real = [], multilevel.build_two_level
-
-        def counting(hierarchy, level, *args):
-            levels.append(level)
-            return real(hierarchy, level, *args)
-
-        monkeypatch.setattr(multilevel, "build_two_level", counting)
         schedule = make_schedule("vcycle:10", 3, 100, 20)
         acc = run_ml_cs(h, y, MixedModelSpec(6, X.n_cols - 6), schedule, SolverConfig(),
                         RandomStream(23), coupling="solves", preconditioned=True)
         assert acc.cg_solves.tolist() == [80, 60, 20]
-        assert len(levels) == acc.cg_solves[1:].sum() == 80 and min(levels) == 1
+        assert len(two_level_levels) == acc.cg_solves[1:].sum() == 80
+        assert set(two_level_levels) == {(1, 0), (2, 0)}
 
     @pytest.fixture()
     def one_block(self):
@@ -459,14 +453,16 @@ class TestPreconditionedChain:
 
     @pytest.fixture()
     def two_level_levels(self, monkeypatch):
-        """The levels build_two_level is called with, in call order."""
+        """(level, coarse_level) of each cycle build_two_level builds, in
+        call order."""
         from mlgibbs import multilevel
 
         levels, real = [], multilevel.build_two_level
 
-        def counting(hierarchy, level, *args):
-            levels.append(level)
-            return real(hierarchy, level, *args)
+        def counting(*args):
+            M = real(*args)
+            levels.append((M.level, M.coarse_level))
+            return M
 
         monkeypatch.setattr(multilevel, "build_two_level", counting)
         return levels
@@ -475,20 +471,22 @@ class TestPreconditionedChain:
                              ids=["ml_gibbs", "ml_cs_solves"])
     def test_one_block_exact_below_the_finest(self, one_block, two_level_levels, sampler):
         # every level below the finest is solved exactly, in one CG
-        # iteration; only the finest takes the two-level cycle
+        # iteration; only the finest takes the two-level cycle, which
+        # corrects at the level below it
         h, y, spec = one_block
         L = h.n_levels - 1
         acc = sampler(h, y, spec, make_schedule("vcycle:10", 3, 100, 20), SolverConfig(),
                       RandomStream(23), preconditioned=True)
         assert acc.cg_solves[:L].min() > 0
         assert acc.cg_iters[:L].tolist() == acc.cg_solves[:L].tolist()
-        assert set(two_level_levels) == {L}
+        assert set(two_level_levels) == {(L, L - 1)}
         assert len(two_level_levels) == acc.cg_solves[L]
 
     def test_one_block_past_basis_cap_takes_the_cycle(self, one_block, two_level_levels,
                                                       monkeypatch):
         # a level whose basis dimension is past BASIS_CAP takes the two-level
-        # cycle again, and still meets the preconditioned-vs-plain oracle
+        # cycle again, and still meets the preconditioned-vs-plain oracle;
+        # with no exact solve at level 1, level 2's cycle corrects at level 0
         from mlgibbs import solvers
 
         h, y, spec = one_block
@@ -499,7 +497,7 @@ class TestPreconditionedChain:
                       coupling="solves", preconditioned=flag)
             for flag in (False, True)
         )
-        assert set(two_level_levels) == {1, 2}
+        assert set(two_level_levels) == {(1, 0), (2, 0)}
         assert len(two_level_levels) == pre.cg_solves[1:].sum()
         assert pre.cg_iters[0] == pre.cg_solves[0]
         assert pre.cg_solves.tolist() == plain.cg_solves.tolist()

@@ -95,6 +95,21 @@ class TestCgSolve:
         assert np.array_equal(x, np.zeros(4))
         assert report.converged and report.iterations == 0
 
+    def test_infinite_rhs_raises(self):
+        # tol * ||rhs|| would be inf, and x = 0 would pass as converged
+        X = primal_and_dual_levels().finest
+        shift = np.ones(X.n_cols)
+        rhs = np.ones(X.n_cols)
+        rhs[3] = np.inf
+        with pytest.raises(NumericalError):
+            cg_solve(lambda v: gram_apply(X, shift, v), rhs)
+
+    def test_rhs_norm_overflow_raises(self):
+        # every entry is finite, but ||rhs|| overflows to inf; no warning
+        # escapes the suite's error::RuntimeWarning filter
+        with pytest.raises(NumericalError):
+            cg_solve(lambda v: 2.0 * v, np.array([1e200, 2.0, 1e200, 3.0]))
+
     def test_max_iter_returns_best(self, rng):
         B = rng.standard_normal((30, 30))
         A = B @ B.T + 1e-4 * np.eye(30)
@@ -324,6 +339,25 @@ class TestExactSolve:
                 cg_solve(lambda v: gram_apply(X, shift, v), r,
                          precond=solvers.exact_solve(h, level, shift))
 
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_basis_matches_dense_gram(self, level):
+        # level 0 is primal, levels 1 and 2 dual
+        h = primal_and_dual_levels()
+        Q, w, dual = h.basis(level)
+        D = h.matrices[level].to_dense()
+        gram = D @ D.T if dual else D.T @ D
+        assert np.linalg.norm(Q * w @ Q.T - gram) <= 1e-12 * np.linalg.norm(gram)
+
+    def test_basis_never_densifies(self, monkeypatch):
+        def no_dense(A):
+            raise AssertionError("basis densified X_l")
+
+        h = primal_and_dual_levels()
+        h = LevelHierarchy(h.matrices, h.prolongators, h.group_boundaries)
+        monkeypatch.setattr(SparseMatrix, "to_dense", no_dense)
+        for level in range(h.n_levels):
+            h.basis(level)
+
     def test_none_for_two_values_or_past_the_cap(self, monkeypatch):
         # level 0 keeps its exact solve past BASIS_CAP: factor_coarse's
         h = primal_and_dual_levels()
@@ -332,6 +366,29 @@ class TestExactSolve:
         monkeypatch.setattr(solvers, "BASIS_CAP", 5)
         assert solvers.exact_solve(h, 1, np.ones(23)) is None
         assert solvers.exact_solve(h, 0, np.ones(12)) is not None
+
+
+@pytest.mark.parametrize("make, dual", [
+    (lambda: clustered_levels(None)[0], False),
+    (primal_and_dual_levels, True),
+], ids=["primal", "dual"])
+def test_two_level_corrects_at_an_exact_level(rng, make, dual):
+    # the finest level's cycle with exact_solve's solve of the level below:
+    # the smoother plus P A_c^-1 P^T applied to the smoothed residual, with
+    # A_c = X_c^T X_c + sI formed densely
+    h = make()
+    L, s = h.n_levels - 1, 0.3
+    X, X_c = h.matrices[L], h.matrices[L - 1]
+    assert h.basis(L - 1)[2] == dual
+    shift = np.full(X.n_cols, s)
+    M = build_two_level(h, L, shift, solvers.exact_solve(h, L - 1, shift[: X_c.n_cols]), L - 1)
+    D_c, P = X_c.to_dense(), h.prolongators[L - 1].to_dense()
+    A_c = D_c.T @ D_c + s * np.eye(X_c.n_cols)
+    r = rng.standard_normal(X.n_cols)
+    z, resid = reference_cg_smooth(reference_gram(X, shift), r, solvers.SMOOTH_STEPS)
+    want = z + P @ np.linalg.solve(A_c, P.T @ resid)
+    got = precond_apply(M, r)
+    assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
 # The solve path as it was written before the in-place CG and the direct
@@ -397,7 +454,7 @@ def reference_cg_smooth(apply_A, rhs, steps):
         rr_new = float(r @ r)
         p = r + (rr_new / rr) * p
         rr = rr_new
-    return x
+    return x, r
 
 
 def reference_two_level(h, level, shift, smooth_steps=2):
@@ -410,8 +467,8 @@ def reference_two_level(h, level, shift, smooth_steps=2):
     apply_fine = reference_gram(h.matrices[level], shift)
 
     def apply(r):
-        z = reference_cg_smooth(apply_fine, r, smooth_steps)
-        resid = r - apply_fine(z)
+        # the smoother's own residual, not r - A z
+        z, resid = reference_cg_smooth(apply_fine, r, smooth_steps)
         for P in reversed(chain):
             resid = restrict(P, resid)
         yc = cho_solve(factor, resid)
