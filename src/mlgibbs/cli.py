@@ -66,12 +66,12 @@ def _config_from_args(args):
 
 def cmd_run(args):
     cfg = _config_from_args(args)
-    # one load of the inputs serves the experiment and the level variances,
-    # which draw from the seed's child stream 2
-    X, y, truth, spec, streams = prepare_experiment(cfg)
     if args.level_variance and cfg.sampler == "gibbs":
         print("--level-variance needs a multilevel sampler", file=sys.stderr)
         return 2
+    # one load of the inputs serves the experiment and the level variances,
+    # which draw from the seed's child stream 2
+    X, y, truth, spec, streams = prepare_experiment(cfg)
     report = run_experiment(cfg, X, y, truth)
     print(report.to_text())
     if args.report:

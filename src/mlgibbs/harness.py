@@ -175,6 +175,8 @@ def load_targets(path):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
+    if y.ndim != 1:
+        raise ParseError(f"{path}: {y.shape[1]} columns, expected one target per line")
     _check_finite(path, y)
     return y
 

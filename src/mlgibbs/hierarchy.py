@@ -65,8 +65,8 @@ class LevelHierarchy:
     @cached_property
     def coarse_gram(self):
         """Dense X_0^T X_0 of the coarsest level, formed on first use and
-        kept read-only: factor_coarse adds each shift of more than one
-        value to it."""
+        kept read-only: exact_solve adds each shift of more than one value
+        to it, when the level's width is within BASIS_CAP."""
         D0 = self.matrices[0].to_dense()
         gram = D0.T @ D0
         gram.flags.writeable = False

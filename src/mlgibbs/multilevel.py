@@ -6,6 +6,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .gibbs import (
     sample_hyperparams,
     solve_noise_system,
 )
-from .solvers import SolverConfig, build_two_level, exact_solve, factor_coarse
+from .solvers import SolverConfig, build_two_level, exact_solve
 from .sparse import spmv
 
 # how a telescoping chain couples level l to level l-1: a second solve, or
@@ -208,17 +209,13 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     level 0. coupling="solves" re-solves the level l-1 system with the
     draw's tau, lam_v, lam_u and e1 and with e2 restricted;
     coupling="projection" takes b_{l-1} = P_l^T b_l without a second
-    solve. Preconditioned, each draw makes factor_coarse's exact solve of
-    level 0 once, which level 0 takes as its preconditioner. A level
-    between level 0 and the finest takes exact_solve's exact solve as its
-    preconditioner when the draw's shift there has one value (no fixed
-    effects) and the level's basis dimension min(rows, width) is within
-    BASIS_CAP. Every other level >= 1, the finest always, takes
+    solve. Preconditioned, each draw forms exact_solve's solve of a level
+    on first use, once. A level below the finest that has one takes it as
+    its preconditioner; any other level, the finest always, takes
     build_two_level's cycle, which corrects at the nearest level below it
-    that has an exact solve: level L-1 of a one-block chain within the
-    cap, level 0 with the draw's factor_coarse solve when no level between
-    has one (a two-block chain always). A one-level hierarchy has no
-    coarse space and runs plain CG.
+    that has one (level L-1 of a one-block chain within the cap, level 0
+    of a two-block chain), or runs plain CG when no level below it has
+    one, as on a one-level hierarchy.
     """
     if any(c not in COUPLING_KINDS for c in couplings):
         raise ConfigError(f"unknown coupling in {couplings!r}")
@@ -226,26 +223,22 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     specs = [spec.at_width(gb, m.n_cols - gb)
              for m, gb in zip(hierarchy.matrices, hierarchy.group_boundaries)]
     L = hierarchy.n_levels - 1
-    precond = preconditioned and L >= 1
-    state = coarse = None
+    state = None
 
-    def exact(level):
-        # the draw's exact solve of `level`, or None; level 0 always has one
-        if not level:
-            return coarse
+    def exact_at(level):
+        # the draw's exact solve of `level`, or None
         lam = assemble_lambda(specs[level], state.lam_v, state.lam_u)
         return exact_solve(hierarchy, level, lam / state.tau)
 
     def solve(level, lam, e1, e2, x0):
         # one noise-injection solve at `level` with the draw's exact solves
-        M = None
-        if coarse is not None:
+        M, c = None, level
+        if preconditioned:
             M = exact(level) if level < L else None
-            if M is None:
-                c = level - 1
-                while (C := exact(c)) is None:
-                    c -= 1
-                M = build_two_level(hierarchy, level, lam / state.tau, C, c)
+            while M is None and c:
+                c -= 1
+                if (C := exact(c)) is not None:
+                    M = build_two_level(hierarchy, level, lam / state.tau, C, c)
         b, report = solve_noise_system(
             hierarchy.matrices[level], y, state.tau, lam, e1, e2, config, precond=M, x0=x0
         )
@@ -275,11 +268,7 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
                 name = "lam_v" if spec_l.n_fixed and not state.lam_v / state.tau > 0 else "lam_u"
                 raise NumericalError(f"effect precision {name} = {getattr(state, name)} at "
                                      f"level {lvl}: Lambda/tau is not positive")
-            if precond:
-                # Lambda_0/tau: the level-l shift restricted to level 0, since
-                # no cluster mixes fixed and random columns
-                lam0 = assemble_lambda(specs[0], state.lam_v, state.lam_u)
-                coarse = factor_coarse(hierarchy, lam0 / state.tau)
+            exact = cache(exact_at)
             e1, e2 = draw_noise(X_l, state.tau, lam, stream)
             b = solve(lvl, lam, e1, e2, state.b)
             if acc.trace is not None:

@@ -5,14 +5,14 @@ The two-level preconditioner uses a fixed number of CG smoothing steps,
 which makes it a nonlinear operator; the outer iteration therefore
 switches to the flexible CG beta when a preconditioner is supplied. An
 exact solve is the whole preconditioner of its level, so flexible CG
-converges there in one iteration. The coarsest level always has one,
-factor_coarse's. Under a one-valued shift, every other level below the
-finest whose basis dimension min(rows, width) is within BASIS_CAP has
-one too, exact_solve's, in the level's eigenbasis: primal (of X^T X)
-when the level is no wider than tall, dual (of X X^T) otherwise. A
-two-level cycle takes its coarse correction from an exact solve of a
-level below its own, its coarse_level: the nearest one that has an exact
-solve, which is level 0 when none between has.
+converges there in one iteration. exact_solve makes it when the dense
+matrix it factors is within BASIS_CAP: under a one-valued shift, on any
+level whose basis dimension min(rows, width) is within the cap, in the
+level's eigenbasis, primal (of X^T X) when the level is no wider than
+tall, dual (of X X^T) otherwise; under any other shift, at level 0 only
+and when its width is within the cap, by a Cholesky factor. A two-level
+cycle takes its coarse correction from an exact solve of a level below
+its own, its coarse_level.
 """
 
 import math
@@ -34,14 +34,12 @@ class SolveReport:
     converged: bool
 
 
-# the two-level preconditioner's CG pre-smoothing steps; the widest
-# coarsest level whose Gram matrix it factors densely; and the largest
-# basis dimension min(rows, width) of a level above it that exact_solve
-# solves in its eigenbasis (on 2 shared CPUs with one BLAS thread, an eigh
-# took 0.26 s and an apply 0.78 ms at 1000; at 2000, 1.8 s and 3.8 ms, more
-# than a whole preconditioned CG solve on 333 rows)
+# the two-level preconditioner's CG pre-smoothing steps; and the largest
+# dense matrix, a basis of dimension min(rows, width) or level 0's Gram
+# matrix, that exact_solve factors (on 2 shared CPUs with one BLAS thread,
+# an eigh took 0.26 s and an apply 0.78 ms at 1000; at 2000, 1.8 s and
+# 3.8 ms, more than a whole preconditioned CG solve on 333 rows)
 SMOOTH_STEPS = 2
-DENSE_CAP = 10_000
 BASIS_CAP = 1000
 
 
@@ -142,20 +140,33 @@ class TwoLevelPreconditioner:
 
 
 def exact_solve(hierarchy, level, shift):
-    """The exact solve r -> (X_l^T X_l + s I)^-1 r of `level` for a shift
-    of one value s, in hierarchy.basis(level): Q ((Q^T r) / (w + s)) in a
-    primal basis, and (r - X^T Q ((Q^T X r) / (w + s))) / s in a dual one,
-    since (X^T X + sI)^-1 = (I - X^T (X X^T + sI)^-1 X) / s. None for any
-    other shift, or above level 0 past BASIS_CAP."""
+    """The exact solve r -> (X_l^T X_l + diag(shift))^-1 r of `level`, or
+    None. A shift of one value s is solved in hierarchy.basis(level) when
+    its dimension min(rows, width) is within BASIS_CAP: Q ((Q^T r) / (w + s))
+    in a primal basis, and (r - X^T Q ((Q^T X r) / (w + s))) / s in a dual
+    one, since (X^T X + sI)^-1 = (I - X^T (X X^T + sI)^-1 X) / s. Any other
+    shift is solved at level 0 only, when its width is within BASIS_CAP, by
+    cho_factor and LAPACK's dpotrs, the solve behind cho_solve without its
+    wrapper's checks (cho_factor checked the matrix)."""
     X = hierarchy.matrices[level]
-    if np.ptp(shift) or (level and min(X.shape) > BASIS_CAP):
+    if np.ptp(shift):
+        if level or X.n_cols > BASIS_CAP:
+            return None
+        G0 = hierarchy.coarse_gram + np.diag(shift)
+        try:
+            c, lower = cho_factor(G0)
+        except np.linalg.LinAlgError:
+            G0 = G0 + np.eye(G0.shape[0]) * (1e-12 * np.trace(G0) / G0.shape[0])
+            c, lower = cho_factor(G0)
+        return lambda r: dpotrs(c, r, lower=lower)[0]
+    if min(X.shape) > BASIS_CAP:
         return None
     Q, w, dual = hierarchy.basis(level)
     s = shift[0]
     d = w + s
     # the least and the mean eigenvalue of X^T X + sI, which in a dual basis
     # has s on the null space of X; a singular system takes the jitter of
-    # cho_factor's below
+    # cho_factor's above
     low, mean = (s, w.sum() / X.n_cols + s) if dual else (d[0], d.mean())
     if not low > 1e-12 * mean:
         jitter = 1e-12 * mean
@@ -166,32 +177,10 @@ def exact_solve(hierarchy, level, shift):
     return lambda r: Q @ ((Q.T @ r) * inv)
 
 
-def factor_coarse(hierarchy, shift0):
-    """The exact solve r -> (X_0^T X_0 + diag(shift0))^-1 r of the
-    coarsest level: exact_solve's for a shift of one value, so each draw
-    costs O(n0); for any other shift cho_factor and LAPACK's dpotrs, the
-    solve behind cho_solve without its wrapper's checks (cho_factor checked
-    G0)."""
-    X0 = hierarchy.matrices[0]
-    if X0.n_cols > DENSE_CAP:
-        raise SetupError(f"coarse width {X0.n_cols} exceeds dense cap {DENSE_CAP}")
-    solve = exact_solve(hierarchy, 0, shift0)
-    if solve is not None:
-        return solve
-    G0 = hierarchy.coarse_gram + np.diag(shift0)
-    try:
-        c, lower = cho_factor(G0)
-    except np.linalg.LinAlgError:
-        G0 = G0 + np.eye(G0.shape[0]) * (1e-12 * np.trace(G0) / G0.shape[0])
-        c, lower = cho_factor(G0)
-    return lambda r: dpotrs(c, r, lower=lower)[0]
-
-
-def build_two_level(hierarchy, level, shift_diag, coarse_solve, coarse_level=0):
+def build_two_level(hierarchy, level, shift_diag, coarse_solve, coarse_level):
     """Two-level preconditioner for the Gram system at `level` >= 1: CG
     pre-smoothing plus an exact correction at coarse_level < level by
-    coarse_solve, that level's exact solve: factor_coarse's at level 0,
-    which level 0 takes as its whole preconditioner, or exact_solve's."""
+    coarse_solve, exact_solve's solve of that level."""
     if not 1 <= level < hierarchy.n_levels:
         raise SetupError(f"no coarse space for level {level}")
     X_l = hierarchy.matrices[level]

@@ -42,7 +42,7 @@ from mlgibbs.multilevel import (
     run_ml_cs,
     run_ml_gibbs,
 )
-from mlgibbs.solvers import factor_coarse
+from mlgibbs.solvers import exact_solve
 from mlgibbs.harness import (
     ExperimentConfig,
     level_variance_report,
@@ -354,7 +354,7 @@ def test_criterion_12_preconditioned_cg():
         assert np.linalg.cond(G) >= 1e4
         P = build_prolongator(assignment)
         h = LevelHierarchy([coarsen(X, P), X], [P], [0, 0])
-        M = build_two_level(h, 1, shift, factor_coarse(h, restrict_diagonal(P, shift)))
+        M = build_two_level(h, 1, shift, exact_solve(h, 0, restrict_diagonal(P, shift)), 0)
         rhs = rng.standard_normal(X.n_cols)
         apply_A = lambda v: gram_apply(X, shift, v)
         _, plain = cg_solve(apply_A, rhs, tol=1e-8, max_iter=20000)

@@ -793,6 +793,23 @@ class TestCli:
         assert "needs a multilevel sampler" in capsys.readouterr().err
         assert runs == []  # rejected before the experiment runs
 
+    def test_level_variance_needs_ml_before_loading(self, tmp_path, capsys):
+        missing = tmp_path / "missing.mtx"
+        code = main(["run", "--data", str(missing), "--sampler", "gibbs",
+                     "--level-variance", str(tmp_path / "lv.csv")])
+        assert code == 2
+        assert "needs a multilevel sampler" in capsys.readouterr().err
+
+    def test_multi_column_targets(self, tmp_path, capsys):
+        # 30 rows of two columns hold as many values as the 60 rows of X
+        data, targets = self._write_data(tmp_path), tmp_path / "y2.csv"
+        np.savetxt(targets, np.ones((30, 2)), delimiter=",")
+        code = main(["run", "--data", str(data), "--targets", str(targets),
+                     "--samples", "60", "--burnin", "10", "--folds", "2"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(targets) in err and "2 columns" in err
+
     @pytest.mark.parametrize("text", ['{"samples": 60,', '{"samples": "many"}', None])
     def test_malformed_config(self, tmp_path, capsys, text):
         data = self._write_data(tmp_path)

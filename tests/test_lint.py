@@ -51,11 +51,12 @@ def unused_private_names(sources):
 
 
 def unused_public_names(package, readers):
-    """Public module-level functions and classes of `package`, and public
-    methods and properties of those classes, that none of `readers` reads,
-    as "module:name" or "module:Class.name" in definition order. A method
-    is read by an attribute or a string literal (a traced function's name),
-    a module-level name also by a bare name or an import."""
+    """Public module-level functions, classes and assigned names (constants)
+    of `package`, and public methods and properties of those classes, that
+    none of `readers` reads, as "module:name" or "module:Class.name" in
+    definition order. A method is read by an attribute or a string literal
+    (a traced function's name or a patched constant), a module-level name
+    also by a bare name or an import."""
     names, attrs = set(), set()
     for source in readers:
         for n in ast.walk(ast.parse(source)):
@@ -70,25 +71,30 @@ def unused_public_names(package, readers):
     unused = []
     for module, source in package.items():
         for node in ast.parse(source).body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defs = [(t.id, t.id, names | attrs) for t in targets if isinstance(t, ast.Name)]
+            elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs = [(node.name, node.name, names | attrs)]
+                if isinstance(node, ast.ClassDef):
+                    defs += [(f"{node.name}.{m.name}", m.name, attrs) for m in node.body
+                             if isinstance(m, ast.FunctionDef)]
+            else:
                 continue
-            defs = [(node.name, node.name, names | attrs)]
-            if isinstance(node, ast.ClassDef):
-                defs += [(f"{node.name}.{m.name}", m.name, attrs) for m in node.body
-                         if isinstance(m, ast.FunctionDef)]
             unused += [f"{module}:{full}" for full, name, read in defs
                        if not name.startswith("_") and name not in read]
     return unused
 
 
 def test_unused_public_names_found():
-    package = {"a": "def f():\n    pass\ndef g():\n    pass\ndef _h():\n    pass\n"
+    package = {"a": "K = 1\nUNREAD = 2\ndef f():\n    pass\ndef g():\n    return K\n"
+                    "def _h():\n    pass\n"
                     "class C:\n    def m(self):\n        pass\n    @property\n"
                     "    def p(self):\n        return 1\n    def __call__(self):\n        pass\n",
                "b": "from .a import f as f2\nclass D:\n    pass\n"}
     # a bare name `m` reads the module-level name, not the method
     readers = [*package.values(), "TRACED = (('a', 'g'),)\nm = C().p\nprint(m)\n"]
-    assert unused_public_names(package, readers) == ["a:C.m", "b:D"]
+    assert unused_public_names(package, readers) == ["a:UNREAD", "a:C.m", "b:D"]
 
 
 def test_no_unused_public_names():

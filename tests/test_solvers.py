@@ -6,8 +6,11 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 from mlgibbs import (
+    MixedModelSpec,
     NumericalError,
+    RandomStream,
     SetupError,
+    SolverConfig,
     build_hierarchy,
     build_prolongator,
     build_two_level,
@@ -15,9 +18,11 @@ from mlgibbs import (
     coarsen,
     from_dense,
     gram_apply,
+    make_schedule,
     precond_apply,
     prolong,
     restrict,
+    run_ml_cs,
 )
 from mlgibbs import solvers
 from mlgibbs.hierarchy import LevelHierarchy, restrict_diagonal
@@ -44,8 +49,8 @@ def restricted_shift(h, level, shift):
 
 def two_level(h, level, shift):
     """build_two_level with the coarse factor of the restricted shift."""
-    factor = solvers.factor_coarse(h, restricted_shift(h, level, shift))
-    return build_two_level(h, level, shift, factor)
+    factor = solvers.exact_solve(h, 0, restricted_shift(h, level, shift))
+    return build_two_level(h, level, shift, factor, 0)
 
 
 def ill_conditioned_gram(rng, n_rows=120, n_clusters=30, per=4,
@@ -178,12 +183,22 @@ class TestTwoLevelPreconditioner:
         with pytest.raises(SetupError):
             two_level(h, 1, np.ones(X.n_cols))
 
-    def test_dense_cap(self, rng, monkeypatch):
-        X = cluster_sparse(rng, 20, 4, 3, 5)
-        h = identity_hierarchy(X)
-        monkeypatch.setattr(solvers, "DENSE_CAP", 2)
-        with pytest.raises(SetupError):
-            solvers.factor_coarse(h, np.ones(X.n_cols))
+    @pytest.mark.parametrize("n_fixed", [0, 6], ids=["one_block", "two_block"])
+    def test_past_the_cap_runs_plain_cg(self, monkeypatch, n_fixed):
+        # with no level within BASIS_CAP, level 0 included, there is no
+        # exact solve, and a preconditioned chain is the plain chain
+        X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
+        y = np.random.default_rng(12).standard_normal(60) * 3
+        h = build_hierarchy(X, n_fixed, (5, 15), 3)
+        monkeypatch.setattr(solvers, "BASIS_CAP", 0)
+        schedule = make_schedule("vcycle:10", 3, 100, 20)
+        plain, pre = (
+            run_ml_cs(h, y, MixedModelSpec(n_fixed, X.n_cols - n_fixed), schedule,
+                      SolverConfig(), RandomStream(23), preconditioned=flag)
+            for flag in (False, True)
+        )
+        assert all(np.array_equal(a, b) for a, b in zip(pre.level_sums, plain.level_sums))
+        assert np.array_equal(pre.cg_iters, plain.cg_iters)
 
     def test_zero_residual(self, rng):
         X = cluster_sparse(rng, 20, 4, 3, 5)
@@ -215,7 +230,7 @@ class TestTwoLevelPreconditioner:
         shift = rng.uniform(0.01, 1.0, X0.n_cols)
         rhs = rng.standard_normal(X0.n_cols)
         x, report = cg_solve(lambda v: gram_apply(X0, shift, v), rhs,
-                             precond=solvers.factor_coarse(h, shift))
+                             precond=solvers.exact_solve(h, 0, shift))
         assert report.converged and report.iterations == 1
         D0 = X0.to_dense()
         want = np.linalg.solve(D0.T @ D0 + np.diag(shift), rhs)
@@ -228,12 +243,12 @@ class TestTwoLevelPreconditioner:
             two_level(h, 0, np.ones(X.n_cols))
 
     def test_level_zero_rejected(self, rng):
-        # level 0 takes factor_coarse's solve itself, not a two-level cycle
+        # level 0 takes its exact solve itself, not a two-level cycle
         X = cluster_sparse(rng, 40, 8, 5, 6)
         h = build_hierarchy(X, 0, (5, 15), 3)
         shift = np.ones(h.widths()[0])
         with pytest.raises(SetupError):
-            build_two_level(h, 0, shift, solvers.factor_coarse(h, shift))
+            build_two_level(h, 0, shift, solvers.exact_solve(h, 0, shift), 0)
 
     def test_fewer_iterations_than_plain(self, rng):
         X, assignment, shift, G = ill_conditioned_gram(rng)
@@ -276,7 +291,7 @@ def test_eigen_kind_matches_dense_solve(rng, problem):
     h, s = problem(rng)
     X0 = h.matrices[0]
     shift0 = np.full(X0.n_cols, s)
-    coarse_solve = solvers.factor_coarse(h, shift0)
+    coarse_solve = solvers.exact_solve(h, 0, shift0)
     D0 = X0.to_dense()
     rhs = rng.standard_normal(X0.n_cols)
     want = np.linalg.solve(D0.T @ D0 + np.diag(shift0), rhs)
@@ -295,7 +310,7 @@ def test_two_valued_shift_matches_dense_solve(mixed_system):
     assert np.unique(shift0).size == 2
     r = rhs[: D0.shape[1]]
     want = np.linalg.solve(D0.T @ D0 + np.diag(shift0), r)
-    got = solvers.factor_coarse(h, shift0)(r)
+    got = solvers.exact_solve(h, 0, shift0)(r)
     assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
 
@@ -359,13 +374,14 @@ class TestExactSolve:
             h.basis(level)
 
     def test_none_for_two_values_or_past_the_cap(self, monkeypatch):
-        # level 0 keeps its exact solve past BASIS_CAP: factor_coarse's
+        # level 0 has no exact solve past BASIS_CAP either
         h = primal_and_dual_levels()
         two_valued = np.where(np.arange(23) < 4, 0.02, 0.7)
         assert solvers.exact_solve(h, 1, two_valued) is None
         monkeypatch.setattr(solvers, "BASIS_CAP", 5)
         assert solvers.exact_solve(h, 1, np.ones(23)) is None
-        assert solvers.exact_solve(h, 0, np.ones(12)) is not None
+        assert solvers.exact_solve(h, 0, np.ones(12)) is None
+        assert solvers.exact_solve(h, 0, two_valued[:12]) is None
 
 
 @pytest.mark.parametrize("make, dual", [
@@ -519,8 +535,8 @@ class TestBitIdentity:
         shift = np.where(np.arange(X.n_cols) < h.group_boundaries[level], 0.02, 0.7)
         b = rhs[: X.n_cols]
         ref_precond, factor = reference_two_level(h, level, shift)
-        coarse_solve = solvers.factor_coarse(h, restricted_shift(h, level, shift))
-        M = build_two_level(h, level, shift, coarse_solve)
+        coarse_solve = solvers.exact_solve(h, 0, restricted_shift(h, level, shift))
+        M = build_two_level(h, level, shift, coarse_solve, 0)
         # the preconditioner shares the solve it is given, which matches
         # cho_solve with the reference factor bit for bit
         assert M.coarse_solve is coarse_solve
@@ -543,6 +559,6 @@ class TestBitIdentity:
         for h in (LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries),
                   LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries)):
             for scale in (1.0, 2.0, 0.5):
-                solvers.factor_coarse(h, restricted_shift(h, 2, shift * scale))
+                solvers.exact_solve(h, 0, restricted_shift(h, 2, shift * scale))
         assert calls == [h0.matrices[0]] * 2
         assert not h.coarse_gram.flags.writeable
