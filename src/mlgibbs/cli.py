@@ -18,6 +18,7 @@ from .harness import (
     build_hierarchy,
     level_variance_csv,
     level_variance_report,
+    open_output,
     prepare_experiment,
     run_experiment,
 )
@@ -75,7 +76,7 @@ def cmd_run(args):
     report = run_experiment(cfg, X, y, truth)
     print(report.to_text())
     if args.report:
-        with open(args.report, "w") as fh:
+        with open_output(args.report) as fh:
             fh.write(report.to_json())
         print(f"report written to {args.report}")
     if all(f.error is not None for f in report.folds):

@@ -189,15 +189,8 @@ def kfold_split(n, folds, stream):
     if folds > n:
         raise ConfigError(f"folds={folds} > n={n}")
     perm = stream.permutation(n)
-    sizes = [n // folds + (1 if i < n % folds else 0) for i in range(folds)]
-    out = []
-    start = 0
-    for sz in sizes:
-        test = np.sort(perm[start : start + sz])
-        train = np.sort(np.concatenate([perm[:start], perm[start + sz :]]))
-        out.append((train, test))
-        start += sz
-    return out
+    # the first n % folds test sets hold one row more
+    return [(np.setdiff1d(perm, test), np.sort(test)) for test in np.array_split(perm, folds)]
 
 
 def metrics(pred, truth):
@@ -380,19 +373,19 @@ class MetricsReport:
         return sum(sum(f.cg_unconverged) for f in self.folds)
 
     def to_json(self):
-        return json.dumps(
-            {
-                "config": self.config,
-                "folds": [asdict(f) for f in self.folds],
-                "rho": {"mean": self.rho_mean, "std": self.rho_std},
-                "rmse": {"mean": self.rmse_mean, "std": self.rmse_std},
-                "mae": {"mean": self.mae_mean, "std": self.mae_std},
-                "setup_time": self.setup_time,
-                "exec_time": self.exec_time,
-                "cg_unconverged": self.cg_unconverged,
-            },
-            indent=2,
-        )
+        text = json.dumps({
+            "config": self.config,
+            "folds": [asdict(f) for f in self.folds],
+            "rho": {"mean": self.rho_mean, "std": self.rho_std},
+            "rmse": {"mean": self.rmse_mean, "std": self.rmse_std},
+            "mae": {"mean": self.mae_mean, "std": self.mae_std},
+            "setup_time": self.setup_time,
+            "exec_time": self.exec_time,
+            "cg_unconverged": self.cg_unconverged,
+        })
+        # standard JSON has no NaN (a failed fold's metrics, an undefined
+        # rho) or inf: write them as null
+        return json.dumps(json.loads(text, parse_constant=lambda _: None), indent=2)
 
     def to_text(self):
         lines = [
@@ -591,10 +584,18 @@ def level_variance_report(
     return out
 
 
+def open_output(path):
+    """open(path, "w"), or ConfigError naming a path it cannot open."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def level_variance_csv(report, path):
     """Write the level-variance report as CSV for plotting."""
     probes = report["probe_indices"]
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         fh.write("quantity,level," + ",".join(f"y{p}" for p in probes) + "\n")
         for l, v in enumerate(report["levels"]):
             fh.write(f"var_y,{l}," + ",".join(f"{x:.10e}" for x in v) + "\n")

@@ -63,16 +63,6 @@ class LevelHierarchy:
         return [m.n_cols for m in self.matrices]
 
     @cached_property
-    def coarse_gram(self):
-        """Dense X_0^T X_0 of the coarsest level, formed on first use and
-        kept read-only: exact_solve adds each shift of more than one value
-        to it, when the level's width is within BASIS_CAP."""
-        D0 = self.matrices[0].to_dense()
-        gram = D0.T @ D0
-        gram.flags.writeable = False
-        return gram
-
-    @cached_property
     def _bases(self):
         return {}  # level -> basis(level)
 
@@ -81,7 +71,8 @@ class LevelHierarchy:
         the level is no wider than tall, else X_l X_l^T (dual), with w
         clipped at 0 since both are PSD. Formed on first use, once per
         hierarchy, from the sparse product (X_l is never densified), and
-        kept read-only."""
+        kept read-only; exact_solve solves every block shift of the level
+        in it."""
         if level not in self._bases:
             X = self.matrices[level]
             dual = X.n_cols > X.n_rows

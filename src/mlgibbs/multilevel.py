@@ -213,9 +213,8 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     on first use, once. A level below the finest that has one takes it as
     its preconditioner; any other level, the finest always, takes
     build_two_level's cycle, which corrects at the nearest level below it
-    that has one (level L-1 of a one-block chain within the cap, level 0
-    of a two-block chain), or runs plain CG when no level below it has
-    one, as on a one-level hierarchy.
+    that has one (level L-1 within the cap), or runs plain CG when no
+    level below it has one, as on a one-level hierarchy.
     """
     if any(c not in COUPLING_KINDS for c in couplings):
         raise ConfigError(f"unknown coupling in {couplings!r}")

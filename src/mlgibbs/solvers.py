@@ -5,14 +5,11 @@ The two-level preconditioner uses a fixed number of CG smoothing steps,
 which makes it a nonlinear operator; the outer iteration therefore
 switches to the flexible CG beta when a preconditioner is supplied. An
 exact solve is the whole preconditioner of its level, so flexible CG
-converges there in one iteration. exact_solve makes it when the dense
-matrix it factors is within BASIS_CAP: under a one-valued shift, on any
-level whose basis dimension min(rows, width) is within the cap, in the
-level's eigenbasis, primal (of X^T X) when the level is no wider than
-tall, dual (of X X^T) otherwise; under any other shift, at level 0 only
-and when its width is within the cap, by a Cholesky factor. A two-level
-cycle takes its coarse correction from an exact solve of a level below
-its own, its coarse_level.
+converges there in one iteration. exact_solve makes it on any level
+whose basis dimension min(rows, width) is within BASIS_CAP, in the
+level's eigenbasis, with a Woodbury correction when the fixed block's
+shift differs from the random block's. A two-level cycle takes its coarse
+correction from an exact solve of a level below its own, its coarse_level.
 """
 
 import math
@@ -35,10 +32,10 @@ class SolveReport:
 
 
 # the two-level preconditioner's CG pre-smoothing steps; and the largest
-# dense matrix, a basis of dimension min(rows, width) or level 0's Gram
-# matrix, that exact_solve factors (on 2 shared CPUs with one BLAS thread,
-# an eigh took 0.26 s and an apply 0.78 ms at 1000; at 2000, 1.8 s and
-# 3.8 ms, more than a whole preconditioned CG solve on 333 rows)
+# dense matrix, a basis of dimension min(rows, width) or a fixed block's f x f
+# correction, that exact_solve factors (on 2 shared CPUs with one BLAS
+# thread, an eigh took 0.26 s and an apply 0.78 ms at 1000; at 2000, 1.8 s
+# and 3.8 ms, more than a whole preconditioned CG solve on 333 rows)
 SMOOTH_STEPS = 2
 BASIS_CAP = 1000
 
@@ -140,41 +137,51 @@ class TwoLevelPreconditioner:
 
 
 def exact_solve(hierarchy, level, shift):
-    """The exact solve r -> (X_l^T X_l + diag(shift))^-1 r of `level`, or
-    None. A shift of one value s is solved in hierarchy.basis(level) when
-    its dimension min(rows, width) is within BASIS_CAP: Q ((Q^T r) / (w + s))
-    in a primal basis, and (r - X^T Q ((Q^T X r) / (w + s))) / s in a dual
-    one, since (X^T X + sI)^-1 = (I - X^T (X X^T + sI)^-1 X) / s. Any other
-    shift is solved at level 0 only, when its width is within BASIS_CAP, by
-    cho_factor and LAPACK's dpotrs, the solve behind cho_solve without its
-    wrapper's checks (cho_factor checked the matrix)."""
+    """The exact solve r -> (X_l^T X_l + diag(shift))^-1 r of `level` in
+    hierarchy.basis(level), or None. S, the solve at the random block's
+    shift s, is Q ((Q^T r) / (w + s)) in a primal basis and
+    (r - X^T Q ((Q^T X r) / (w + s))) / s in a dual one, since
+    (X^T X + sI)^-1 = (I - X^T (X X^T + sI)^-1 X) / s. When the f fixed
+    columns E take another value s_v, Woodbury's identity gives
+    S - S E K^-1 E^T S with K = I/c + E^T S E, c = s_v - s; sign(c) K is
+    positive definite, as E^T S E <= I/s, and cho_factor and LAPACK's dpotrs
+    solve it. None past BASIS_CAP (min(rows, width), or f under two values),
+    for two values more than 1e12 apart, or for a shift not constant on
+    each block."""
     X = hierarchy.matrices[level]
-    if np.ptp(shift):
-        if level or X.n_cols > BASIS_CAP:
-            return None
-        G0 = hierarchy.coarse_gram + np.diag(shift)
-        try:
-            c, lower = cho_factor(G0)
-        except np.linalg.LinAlgError:
-            G0 = G0 + np.eye(G0.shape[0]) * (1e-12 * np.trace(G0) / G0.shape[0])
-            c, lower = cho_factor(G0)
-        return lambda r: dpotrs(c, r, lower=lower)[0]
-    if min(X.shape) > BASIS_CAP:
+    f = hierarchy.group_boundaries[level]
+    s_v, s = shift[0], shift[-1]
+    if (min(X.shape) > BASIS_CAP or np.any(shift[:f] != s_v) or np.any(shift[f:] != s)
+            or s_v != s and (f > BASIS_CAP or min(s_v, s) < 1e-12 * max(s_v, s))):
         return None
     Q, w, dual = hierarchy.basis(level)
-    s = shift[0]
     d = w + s
     # the least and the mean eigenvalue of X^T X + sI, which in a dual basis
-    # has s on the null space of X; a singular system takes the jitter of
-    # cho_factor's above
+    # has s on the null space of X; a singular system is jittered
     low, mean = (s, w.sum() / X.n_cols + s) if dual else (d[0], d.mean())
     if not low > 1e-12 * mean:
         jitter = 1e-12 * mean
         d, s = d + jitter, s + jitter
     inv = 1.0 / d
     if dual:
-        return lambda r: (r - spmv_t(X, Q @ ((Q.T @ spmv(X, r)) * inv))) / s
-    return lambda r: Q @ ((Q.T @ r) * inv)
+        S = lambda r: (r - spmv_t(X, Q @ ((Q.T @ spmv(X, r)) * inv))) / s
+    else:
+        S = lambda r: Q @ ((Q.T @ r) * inv)
+    if s_v in (shift[-1], s):  # one value, or s_v is the jittered s
+        return S
+    if dual:
+        B = (X.csr_t[:f] @ Q).T  # Q^T X E
+        K = (np.eye(f) - (B.T * inv) @ B) / s
+    else:
+        K = (Q[:f] * inv) @ Q[:f].T
+    sign = math.copysign(1.0, s_v - s)
+    K, lower = cho_factor(sign * (K + np.eye(f) / (s_v - s)))
+
+    def solve(r):
+        x = S(r)
+        return x - sign * S(np.pad(dpotrs(K, x[:f], lower=lower)[0], (0, x.size - f)))
+
+    return solve
 
 
 def build_two_level(hierarchy, level, shift_diag, coarse_solve, coarse_level):

@@ -403,6 +403,23 @@ class TestRunExperiment:
         assert all(f.error is not None for f in rep.folds)
         assert "failed      all 2 folds" in rep.to_text()
 
+    def test_report_is_strict_json(self):
+        # a failed fold's metrics and an undefined rho stay NaN in memory and
+        # are written as null, since standard JSON has no NaN
+        X = from_dense(np.zeros((12, 6)))
+        cfg = ExperimentConfig(sampler="ml", samples=30, burn_in=5, folds=2,
+                               seed=0, levels=3, coarse_range=(1, 2))
+        rep = run_experiment(cfg, X=X)
+        rep.rho_mean = float("nan")
+        assert np.isnan([rep.rho_mean] + [f.rmse for f in rep.folds]).all()
+
+        def reject(constant):
+            raise ValueError(f"{constant} is not standard JSON")
+
+        parsed = json.loads(rep.to_json(), parse_constant=reject)
+        assert [(f["rho"], f["rmse"], f["mae"]) for f in parsed["folds"]] == [(None,) * 3] * 2
+        assert parsed["rho"]["mean"] is None
+
     def test_partial_failure_named(self):
         # a NaN entry breaks the CG solves of the fold that trains on it only
         dense = small_experiment_matrix().to_dense()
@@ -633,6 +650,19 @@ class TestCli:
         assert parsed["config"]["sampler"] == "ml"
         out = capsys.readouterr().out
         assert "RMSE" in out
+
+    @pytest.mark.parametrize("flag", ["--report", "--level-variance"])
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, flag):
+        # a path in a missing directory is a typed error after the run, not a
+        # FileNotFoundError traceback
+        data, out = self._write_data(tmp_path), tmp_path / "missing" / "out"
+        code = main([
+            "run", "--data", str(data), "--sampler", "ml", "--levels", "2",
+            "--coarse-range", "6,20", "--samples", "60", "--burnin", "10",
+            "--folds", "2", "--seed", "3", flag, str(out),
+        ])
+        assert code == 1
+        assert f"error: cannot write {out}: " in capsys.readouterr().err
 
     def test_level_variance_flag(self, tmp_path, capsys):
         data = self._write_data(tmp_path)

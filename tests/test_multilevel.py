@@ -383,41 +383,6 @@ class TestPreconditionedChain:
         assert h.n_levels == 3 and min(h.group_boundaries) > 0
         return h, y, MixedModelSpec(6, X.n_cols - 6)
 
-    def test_one_coarse_factor_per_draw(self, mixed, monkeypatch):
-        from mlgibbs import solvers
-
-        h, y, spec = mixed
-        calls = []
-        real = solvers.cho_factor
-
-        def counting(G):
-            calls.append(G.shape)
-            return real(G)
-
-        monkeypatch.setattr(solvers, "cho_factor", counting)
-        schedule = make_schedule("vcycle:10", 3, 100, 20)
-        acc = run_ml_cs(h, y, spec, schedule, SolverConfig(), RandomStream(3),
-                        coupling="solves", preconditioned=True)
-        # each kept draw above level 0 makes a coupled solve, which shares
-        # the factor of its draw
-        assert acc.cg_solves.sum() == 100 + acc.counts[1:].sum() > 100
-        assert calls == [(h.widths()[0],) * 2] * 100
-
-    def test_two_level_built_above_level_zero_only(self, two_level_levels):
-        # the pinned preconditioned `solves` run: 80 solves above level 0,
-        # while its 80 level-0 solves take the draw's coarse solve itself;
-        # a two-valued shift has no exact solve above level 0, so every
-        # cycle corrects at level 0
-        X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
-        y = np.random.default_rng(12).standard_normal(60) * 3
-        h = build_hierarchy(X, 6, (5, 15), 3)
-        schedule = make_schedule("vcycle:10", 3, 100, 20)
-        acc = run_ml_cs(h, y, MixedModelSpec(6, X.n_cols - 6), schedule, SolverConfig(),
-                        RandomStream(23), coupling="solves", preconditioned=True)
-        assert acc.cg_solves.tolist() == [80, 60, 20]
-        assert len(two_level_levels) == acc.cg_solves[1:].sum() == 80
-        assert set(two_level_levels) == {(1, 0), (2, 0)}
-
     @pytest.fixture()
     def one_block(self):
         X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
@@ -426,10 +391,12 @@ class TestPreconditionedChain:
         assert h.widths() == [12, 23, 72]
         return h, y, MixedModelSpec(0, X.n_cols)
 
-    def test_one_block_one_eigh_per_hierarchy(self, one_block, monkeypatch):
+    @pytest.mark.parametrize("problem", ["one_block", "mixed"])
+    def test_one_block_one_eigh_per_hierarchy(self, problem, request, monkeypatch):
+        # a two-block model shares the basis too, with a correction per draw
         from mlgibbs import solvers
 
-        h, y, spec = one_block
+        h, y, spec = request.getfixturevalue(problem)
         calls = []
         real = np.linalg.eigh
 
@@ -438,10 +405,11 @@ class TestPreconditionedChain:
             return real(G)
 
         def no_factor(G):
-            raise AssertionError("a one-valued coarse shift takes a Cholesky factor")
+            raise AssertionError("a one-valued shift factors a fixed-block correction")
 
         monkeypatch.setattr(np.linalg, "eigh", counting)
-        monkeypatch.setattr(solvers, "cho_factor", no_factor)
+        if problem == "one_block":
+            monkeypatch.setattr(solvers, "cho_factor", no_factor)
         schedule = make_schedule("vcycle:10", 3, 100, 20)
         for fresh in (h, h, LevelHierarchy(h.matrices, h.prolongators, h.group_boundaries)):
             acc = run_ml_cs(fresh, y, spec, schedule, SolverConfig(), RandomStream(3),
@@ -449,7 +417,7 @@ class TestPreconditionedChain:
             assert acc.cg_solves.sum() > 100
         # one basis for each level below the finest, shared by the runs on h
         # and formed again for the fresh hierarchy
-        assert calls == [(w, w) for w in h.widths()[:-1]] * 2
+        assert calls == [(min(X.shape),) * 2 for X in h.matrices[:-1]] * 2
 
     @pytest.fixture()
     def two_level_levels(self, monkeypatch):
@@ -467,13 +435,19 @@ class TestPreconditionedChain:
         monkeypatch.setattr(multilevel, "build_two_level", counting)
         return levels
 
-    @pytest.mark.parametrize("sampler", [run_ml_gibbs, partial(run_ml_cs, coupling="solves")],
-                             ids=["ml_gibbs", "ml_cs_solves"])
-    def test_one_block_exact_below_the_finest(self, one_block, two_level_levels, sampler):
+    @pytest.mark.parametrize("problem, sampler", [
+        ("one_block", run_ml_gibbs),
+        ("one_block", partial(run_ml_cs, coupling="solves")),
+        ("mixed", run_ml_gibbs),
+        ("mixed", partial(run_ml_cs, coupling="solves")),
+    ], ids=["ml_gibbs", "ml_cs_solves", "mixed-ml_gibbs", "mixed-ml_cs_solves"])
+    def test_one_block_exact_below_the_finest(self, problem, request, two_level_levels,
+                                              sampler):
         # every level below the finest is solved exactly, in one CG
-        # iteration; only the finest takes the two-level cycle, which
-        # corrects at the level below it
-        h, y, spec = one_block
+        # iteration, in one-block and two-block models alike; only the
+        # finest takes the two-level cycle, which corrects at the level
+        # below it
+        h, y, spec = request.getfixturevalue(problem)
         L = h.n_levels - 1
         acc = sampler(h, y, spec, make_schedule("vcycle:10", 3, 100, 20), SolverConfig(),
                       RandomStream(23), preconditioned=True)

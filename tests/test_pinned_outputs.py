@@ -63,10 +63,10 @@ def test_run_chain(problem):
       (0.8185604886142706, 5.210899642523304)],
      [195, 221, 108]),
     (True,
-     [(0.24434721792879838, -3.0289526172945287),
-      (0.8030471771641796, -6.485589015122487),
-      (0.8185604972623788, 5.210899838046477)],
-     [40, 127, 67]),
+     [(0.24434721787848482, -3.028952616794933),
+      (0.8030471784635903, -6.485589039181629),
+      (0.8185604971772923, 5.210899756260655)],
+     [40, 40, 61]),
 ])
 def test_run_ml_gibbs(problem, preconditioned, sums, cg_iters):
     _, y, spec, h = problem
@@ -102,15 +102,15 @@ def test_run_ml_cs(problem, coupling, sums, counts):
 
 @pytest.mark.parametrize("coupling, sums, cg_solves, cg_iters", [
     ("solves",
-     [(1.3794728820289859, -2.18690246293081),
-      (3.4394564825214995, 0.29626243002458197),
-      (2.501840280575345, -1.7067915476297528)],
-     [80, 60, 20], [80, 237, 76]),
+     [(1.3794728832217316, -2.186902469972485),
+      (3.439456463475438, 0.2962623883145089),
+      (2.501840264643031, -1.7067913930454952)],
+     [80, 60, 20], [80, 60, 66]),
     ("projection",
-     [(1.3794728820289859, -2.18690246293081),
-      (3.429261704531354, 0.43719846585538336),
-      (2.5017733023366366, -1.6693513790037664)],
-     [40, 40, 20], [40, 162, 76]),
+     [(1.3794728832217316, -2.186902469972485),
+      (3.4292616854355225, 0.43719845760383746),
+      (2.50177328638103, -1.6693513538780338)],
+     [40, 40, 20], [40, 40, 66]),
 ])
 def test_run_ml_cs_preconditioned(problem, coupling, sums, cg_solves, cg_iters):
     _, y, spec, h = problem
@@ -132,11 +132,11 @@ def test_run_ml_gibbs_mixed_wcycle(problem):
                        preconditioned=True)
     assert acc.counts.tolist() == [30, 40, 10]
     assert acc.cg_solves.tolist() == [50, 40, 10]
-    assert acc.cg_iters.tolist() == [50, 136, 27]
+    assert acc.cg_iters.tolist() == [50, 40, 25]
     assert_pinned([summary(v) for v in acc.level_sums],
-                  [(5.360138825579174, -24.82057379576237),
-                   (0.9511808659288704, -17.091942961529835),
-                   (0.2766940549369102, 25.46825356407835)])
+                  [(5.360138825503109, -24.820573795879888),
+                   (0.9511808681148181, -17.091942938090405),
+                   (0.27669405475487435, 25.468253599976453)])
 
 
 @pytest.mark.parametrize("sampler, kind, seed", [

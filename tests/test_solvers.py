@@ -30,13 +30,13 @@ from mlgibbs.sparse import SparseMatrix
 from conftest import cluster_sparse
 
 
-def identity_hierarchy(X, levels=2):
+def identity_hierarchy(X, levels=2, n_fixed=0):
     """Hierarchy whose prolongators are all identity (every level = X)."""
     P = build_prolongator(np.arange(X.n_cols))
     return LevelHierarchy(
         matrices=[X] * levels,
         prolongators=[P] * (levels - 1),
-        group_boundaries=[0] * levels,
+        group_boundaries=[n_fixed] * levels,
     )
 
 
@@ -225,9 +225,9 @@ class TestTwoLevelPreconditioner:
 
     def test_coarsest_level_exact(self, rng):
         X = cluster_sparse(rng, 40, 8, 5, 6)
-        h = build_hierarchy(X, 0, (5, 15), 3)
+        h = build_hierarchy(X, 5, (5, 15), 3)
         X0 = h.matrices[0]
-        shift = rng.uniform(0.01, 1.0, X0.n_cols)
+        shift = block_shift(h, 0, *rng.uniform(0.01, 1.0, 2))
         rhs = rng.standard_normal(X0.n_cols)
         x, report = cg_solve(lambda v: gram_apply(X0, shift, v), rhs,
                              precond=solvers.exact_solve(h, 0, shift))
@@ -287,7 +287,7 @@ def ill_conditioned_levels(rng):
 
 @pytest.mark.parametrize("problem", [clustered_levels, ill_conditioned_levels])
 def test_eigen_kind_matches_dense_solve(rng, problem):
-    # a one-valued shift takes the eigenbasis, not a Cholesky factor
+    # a one-valued shift takes the eigenbasis with no fixed-block correction
     h, s = problem(rng)
     X0 = h.matrices[0]
     shift0 = np.full(X0.n_cols, s)
@@ -303,7 +303,7 @@ def test_eigen_kind_matches_dense_solve(rng, problem):
 
 
 def test_two_valued_shift_matches_dense_solve(mixed_system):
-    # a shift of two values takes the Cholesky factor, not the eigenbasis
+    # a shift of two values takes the eigenbasis and the fixed-block correction
     h, _, rhs = mixed_system
     D0 = h.matrices[0].to_dense()
     shift0 = np.where(np.arange(D0.shape[1]) < h.group_boundaries[0], 0.02, 0.7)
@@ -321,6 +321,20 @@ def primal_and_dual_levels():
     h = build_hierarchy(X, 0, (5, 15), 3)
     assert h.widths() == [12, 23, 72]
     assert [h.basis(level)[2] for level in range(3)] == [False, True, True]
+    return h
+
+
+def block_shift(h, level, s_v, s):
+    """The level's shift: s_v on its fixed columns, s on its random ones."""
+    return np.where(np.arange(h.widths()[level]) < h.group_boundaries[level], s_v, s)
+
+
+def fixed_block_levels(dual, f):
+    """Two identical levels of 80 columns, the first f of them fixed: 30
+    rows (a dual basis) or 200 (a primal one)."""
+    X = cluster_sparse(np.random.default_rng(1), 30 if dual else 200, 20, 4, 6)
+    h = identity_hierarchy(X, n_fixed=f)
+    assert h.basis(1)[2] == dual
     return h
 
 
@@ -383,23 +397,55 @@ class TestExactSolve:
         assert solvers.exact_solve(h, 0, np.ones(12)) is None
         assert solvers.exact_solve(h, 0, two_valued[:12]) is None
 
+    @pytest.mark.parametrize("s_v, s", [(2.0, 0.05), (0.05, 3.0)], ids=["c_pos", "c_neg"])
+    @pytest.mark.parametrize("f", [1, 6, 40])
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_two_block_matches_dense_solve(self, rng, dual, f, s_v, s):
+        # above level 0 too, with c = s_v - s of either sign
+        h = fixed_block_levels(dual, f)
+        D = h.finest.to_dense()
+        shift = block_shift(h, 1, s_v, s)
+        r = rng.standard_normal(D.shape[1])
+        want = np.linalg.solve(D.T @ D + np.diag(shift), r)
+        got = solvers.exact_solve(h, 1, shift)(r)
+        assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    def test_two_block_none_past_the_cap_or_apart_or_off_block(self, monkeypatch):
+        h = fixed_block_levels(True, 40)
+        shift = block_shift(h, 1, 0.05, 3.0)
+        assert solvers.exact_solve(h, 1, shift) is not None
+        for i in (0, 39, 40, 79):  # a shift not constant on each block
+            off = shift.copy()
+            off[i] *= 1.5
+            assert solvers.exact_solve(h, 1, off) is None
+        for s_v, apart in ((3e-11, False), (3e11, False), (3e-13, True), (3e13, True),
+                           (3e-320, True)):
+            assert (solvers.exact_solve(h, 1, block_shift(h, 1, s_v, 3.0)) is None) == apart
+        # past the cap in f but not in min(rows, width) = 30
+        monkeypatch.setattr(solvers, "BASIS_CAP", 39)
+        assert solvers.exact_solve(h, 1, shift) is None
+        assert solvers.exact_solve(h, 1, np.full(80, 3.0)) is not None
+
 
 @pytest.mark.parametrize("make, dual", [
     (lambda: clustered_levels(None)[0], False),
     (primal_and_dual_levels, True),
-], ids=["primal", "dual"])
+    (lambda: build_hierarchy(cluster_sparse(np.random.default_rng(11), 20, 12, 6, 6), 6,
+                             (5, 15), 3), True),
+], ids=["primal", "dual", "two_block"])
 def test_two_level_corrects_at_an_exact_level(rng, make, dual):
     # the finest level's cycle with exact_solve's solve of the level below:
     # the smoother plus P A_c^-1 P^T applied to the smoothed residual, with
-    # A_c = X_c^T X_c + sI formed densely
+    # A_c = X_c^T X_c + diag(shift_c) formed densely; the two-block case
+    # shifts its fixed columns by 0.02
     h = make()
-    L, s = h.n_levels - 1, 0.3
+    L = h.n_levels - 1
     X, X_c = h.matrices[L], h.matrices[L - 1]
     assert h.basis(L - 1)[2] == dual
-    shift = np.full(X.n_cols, s)
-    M = build_two_level(h, L, shift, solvers.exact_solve(h, L - 1, shift[: X_c.n_cols]), L - 1)
+    shift, shift_c = block_shift(h, L, 0.02, 0.3), block_shift(h, L - 1, 0.02, 0.3)
+    M = build_two_level(h, L, shift, solvers.exact_solve(h, L - 1, shift_c), L - 1)
     D_c, P = X_c.to_dense(), h.prolongators[L - 1].to_dense()
-    A_c = D_c.T @ D_c + s * np.eye(X_c.n_cols)
+    A_c = D_c.T @ D_c + np.diag(shift_c)
     r = rng.standard_normal(X.n_cols)
     z, resid = reference_cg_smooth(reference_gram(X, shift), r, solvers.SMOOTH_STEPS)
     want = z + P @ np.linalg.solve(A_c, P.T @ resid)
@@ -535,30 +581,11 @@ class TestBitIdentity:
         shift = np.where(np.arange(X.n_cols) < h.group_boundaries[level], 0.02, 0.7)
         b = rhs[: X.n_cols]
         ref_precond, factor = reference_two_level(h, level, shift)
-        coarse_solve = solvers.exact_solve(h, 0, restricted_shift(h, level, shift))
+        # the cycle shares the coarse solve it is given: with the reference's,
+        # it and flexible CG give the reference's bits
+        coarse_solve = lambda v: cho_solve(factor, v)
         M = build_two_level(h, level, shift, coarse_solve, 0)
-        # the preconditioner shares the solve it is given, which matches
-        # cho_solve with the reference factor bit for bit
         assert M.coarse_solve is coarse_solve
-        v = b[: h.widths()[0]]
-        assert np.array_equal(coarse_solve(v), cho_solve(factor, v))
         want = reference_cg(reference_gram(X, shift), b, b, 1e-10, max_iter, ref_precond)
         got = cg_solve(lambda v: gram_apply(X, shift, v), b, b, 1e-10, max_iter, M)
         assert_same_solve(got, want)
-
-    def test_coarse_gram_formed_once_per_hierarchy(self, mixed_system, monkeypatch):
-        h0, shift, _ = mixed_system
-        calls = []
-        to_dense = SparseMatrix.to_dense
-
-        def counting(A):
-            calls.append(A)
-            return to_dense(A)
-
-        monkeypatch.setattr(SparseMatrix, "to_dense", counting)
-        for h in (LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries),
-                  LevelHierarchy(h0.matrices, h0.prolongators, h0.group_boundaries)):
-            for scale in (1.0, 2.0, 0.5):
-                solvers.exact_solve(h, 0, restricted_shift(h, 2, shift * scale))
-        assert calls == [h0.matrices[0]] * 2
-        assert not h.coarse_gram.flags.writeable
