@@ -7,9 +7,10 @@ Example:
 
 import argparse
 import dataclasses
+import os
 import sys
 
-from .errors import EstimatorError, MlgibbsError
+from .errors import ConfigError, EstimatorError, MlgibbsError
 from .harness import (
     ALLOCATIONS,
     MATRIX_FORMATS,
@@ -70,6 +71,11 @@ def cmd_run(args):
     if args.level_variance and cfg.sampler == "gibbs":
         print("--level-variance needs a multilevel sampler", file=sys.stderr)
         return 2
+    # an output whose directory is missing fails before the run, not after
+    for path in filter(None, (args.report, args.level_variance)):
+        folder = os.path.dirname(path) or "."
+        if not os.path.isdir(folder):
+            raise ConfigError(f"cannot write {path}: no directory {folder}")
     # one load of the inputs serves the experiment and the level variances,
     # which draw from the seed's child stream 2
     X, y, truth, spec, streams = prepare_experiment(cfg)

@@ -62,8 +62,11 @@ def _load_matrix_market(path):
     """Coordinate real general MatrixMarket file. The header is walked line
     by line up to the size line; the entries are parsed by one numpy call
     and checked as arrays. Duplicate entries are summed in file order."""
-    with open(path) as fh:
-        lines = fh.read().split("\n")
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = fh.read().split("\n")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     if lines[-1] == "":
         lines.pop()
     dims = None
@@ -85,6 +88,10 @@ def _load_matrix_market(path):
             n_rows, n_cols, expected = (int(p) for p in parts)
         except ValueError:
             raise ParseError(f"non-integer size line {line!r}", lineno) from None
+        # the CSR assembly keys each entry by row * n_cols + col in int64
+        sizes = (n_rows, n_cols, expected)
+        if min(sizes) < 0 or max(*sizes, n_rows * n_cols) >= 2**63:
+            raise ParseError(f"size line {line!r} is negative or past int64", lineno)
         dims = (n_rows, n_cols)
         break
     if dims is None:
@@ -354,6 +361,16 @@ class FoldMetrics:
     cg_unconverged: list = field(default_factory=list)  # per level
 
 
+def _json_value(value):
+    """A config value that json does not write itself: a path as its
+    string, a numpy scalar as the Python number it holds."""
+    if isinstance(value, os.PathLike):
+        return os.fspath(value)
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
+
+
 @dataclass
 class MetricsReport:
     config: dict
@@ -382,7 +399,7 @@ class MetricsReport:
             "setup_time": self.setup_time,
             "exec_time": self.exec_time,
             "cg_unconverged": self.cg_unconverged,
-        })
+        }, default=_json_value)
         # standard JSON has no NaN (a failed fold's metrics, an undefined
         # rho) or inf: write them as null
         return json.dumps(json.loads(text, parse_constant=lambda _: None), indent=2)
@@ -511,15 +528,13 @@ def prepare_experiment(config, X=None, y=None, truth_coef=None):
     if y is None:
         if config.targets_path:
             y = load_targets(config.targets_path)
-            if y.size != X.n_rows:
-                raise ConfigError(
-                    f"targets length {y.size} != n_rows {X.n_rows}"
-                )
             truth_coef = None
         else:
             truth_coef, y = synthesize_targets(
                 X, streams[0], config.coef_variance, config.noise_variance
             )
+    if np.size(y) != X.n_rows:
+        raise ConfigError(f"targets length {np.size(y)} != n_rows {X.n_rows}")
     return X, y, truth_coef, config.model_spec(X.n_cols), streams
 
 

@@ -224,28 +224,22 @@ def _bisect_threshold(blocks, band, max_steps=20):
     band)."""
     lo_w, hi_w = band
     target = math.sqrt(lo_w * hi_w)
-    # threshold 1 merges maximally; if even that stays above the band there
-    # is nothing to bisect for
-    assignment, gb = _cluster_grouped(blocks, 1.0)
-    width = int(assignment.max()) + 1
-    if width > hi_w or lo_w <= width <= hi_w:
-        return assignment, gb, width
-    lo_t, hi_t = 0.0, 1.0
-    best = (assignment, gb, width)
-    best_err = abs(math.log(width / target))
-    for _ in range(max_steps):
-        t = 0.5 * (lo_t + hi_t)
+    lo_t, hi_t, t, best_err = 0.0, 1.0, 1.0, math.inf  # the first pass sets best
+    for _ in range(1 + max_steps):
         assignment, gb = _cluster_grouped(blocks, t)
         width = int(assignment.max()) + 1
-        err = 0.0 if lo_w <= width <= hi_w else abs(math.log(width / target))
+        inside = lo_w <= width <= hi_w
+        err = 0.0 if inside else abs(math.log(width / target))
         if err < best_err:
             best, best_err = (assignment, gb, width), err
-        if lo_w <= width <= hi_w:
+        # threshold 1 merges maximally: above the band there, nothing to bisect
+        if inside or t == 1.0 and width > hi_w:
             break
         if width > hi_w:
             lo_t = t  # too many clusters: merge more
         else:
             hi_t = t
+        t = 0.5 * (lo_t + hi_t)
     return best
 
 

@@ -350,26 +350,24 @@ def run_ml_cs(
 
 
 def finalize_estimate(acc, hierarchy, X_eval):
-    """Interpolate the accumulated coefficient sums to the finest space and
-    multiply by X_eval once. EstimatorError when the pooled chain kept no
-    draw, or a telescoping sum misses a level."""
+    """X_eval times sum_l transfer(S_l / per_level[l]) / total over the kept
+    levels' sums S_l. EstimatorError when the pooled chain kept no draw, or
+    a telescoping sum misses a level."""
     L = hierarchy.n_levels - 1
     kept = np.flatnonzero(acc.counts)
     if acc.mode == "pooled":
         if kept.size == 0:
             raise EstimatorError("zero kept samples on every level")
-        total = np.zeros(hierarchy.finest.n_cols)
-        for l in kept:
-            total += hierarchy.transfer(acc.level_sums[l], l, L)
-        coef = total / acc.counts.sum()
+        per_level, total = np.ones_like(acc.counts), acc.counts.sum()
+    elif kept.size <= L:
+        missing = np.flatnonzero(acc.counts == 0).tolist()
+        raise EstimatorError(f"zero kept samples at telescoping level(s) {missing}")
     else:
-        if kept.size <= L:
-            missing = np.flatnonzero(acc.counts == 0).tolist()
-            raise EstimatorError(f"zero kept samples at telescoping level(s) {missing}")
-        coef = np.zeros(hierarchy.finest.n_cols)
-        for l in kept:
-            coef += hierarchy.transfer(acc.level_sums[l] / acc.counts[l], l, L)
-    return spmv(X_eval, coef)
+        per_level, total = acc.counts, 1
+    coef = np.zeros(hierarchy.finest.n_cols)
+    for l in kept:
+        coef += hierarchy.transfer(acc.level_sums[l] / per_level[l], l, L)
+    return spmv(X_eval, coef / total)
 
 
 def estimate_level_variances(hierarchy, y, spec, config, stream, pilot):

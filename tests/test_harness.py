@@ -1,6 +1,9 @@
 """Ingestion, cross-validation, metrics, experiment orchestration and CLI."""
 
 import json
+import os
+import re
+import tempfile
 import warnings
 
 import numpy as np
@@ -35,6 +38,45 @@ from mlgibbs.harness import (
     synthesize_targets,
 )
 from conftest import cluster_sparse, random_sparse
+
+
+# small valid inputs of each reader: file name and content
+VALID_INPUTS = {
+    "matrix_market": ("a.mtx", "%%MatrixMarket matrix coordinate real general\n"
+                               "% c\n3 4 3\n1 1 1.5\n2 3 -2.0\n3 4 0.25\n"),
+    "dense_csv": ("a.csv", "1,0,2\n0,3.5,0\n"),
+    "targets": ("y.csv", "1.0\n2.5\n-3.0\n"),
+}
+NUMBER = re.compile(r"[-+]?\d[\d.e+-]*")
+
+
+@st.composite
+def corrupted_input(draw):
+    """(kind, bytes) of a valid input with random corruption: numbers
+    replaced by others (in range, at most 10^4, or past int64), signs,
+    non-numbers, lines dropped or repeated, a cut and non-UTF-8 bytes."""
+    kind = draw(st.sampled_from(sorted(VALID_INPUTS)))
+    text = VALID_INPUTS[kind][1]
+    number = (st.integers(-10**4, 10**4).map(str)
+              | st.tuples(st.sampled_from(["", "-"]), st.integers(2**63, 2**80)).map(
+                  lambda t: t[0] + str(t[1]))
+              | st.sampled_from(["-0", "+3", "1.5", "1e3", "1e400", "nan", "-inf", "x", ""]))
+    for _ in range(draw(st.integers(0, 3))):
+        spans = [m.span() for m in NUMBER.finditer(text)]
+        if spans:
+            lo, hi = draw(st.sampled_from(spans))
+            text = text[:lo] + draw(number) + text[hi:]
+    lines = text.split("\n")
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(lines) - 1))
+        lines[i:i + 1] = draw(st.sampled_from([[], [lines[i]] * 2]))
+    data = "\n".join(lines).encode()
+    data = data[:draw(st.integers(len(data) // 2, len(data)))]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        bad = draw(st.sampled_from([b"\xff", b"\x80\x80", b"\xc3\x28", b"\xfe\xff"]))
+        data = data[:at] + bad + data[at:]
+    return kind, data
 
 
 class TestLoadMatrix:
@@ -162,6 +204,39 @@ class TestLoadMatrix:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(ConfigError):
             load_matrix(tmp_path / "a.bin", fmt="binary")
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "u.mtx"
+        p.write_bytes(b"%%MatrixMarket matrix coordinate real general\n2 2 1\n1 1 \xff\n")
+        with pytest.raises(ParseError, match=f"{p}: not UTF-8 text"):
+            load_matrix(p)
+
+    @pytest.mark.parametrize("size", [
+        "-2 2 0",  # negative
+        "2 99999999999999999999999 1",  # past int64
+        "3 4611686018427387904 1",  # rows * cols past int64
+    ])
+    def test_size_line_out_of_range(self, tmp_path, size):
+        p = tmp_path / "s.mtx"
+        entries = "1 1 1.0\n" * int(size.split()[2])
+        p.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n{entries}")
+        with pytest.raises(ParseError, match="negative or past int64") as exc:
+            load_matrix(p)
+        assert exc.value.line == 2
+
+    @settings(max_examples=500, deadline=None)
+    @given(corrupted_input())
+    def test_corrupted_input_loads_or_raises_typed(self, corrupted):
+        kind, data = corrupted
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # numpy's empty-input warning
+            path = os.path.join(tmp, VALID_INPUTS[kind][0])
+            with open(path, "wb") as fh:
+                fh.write(data)
+            try:
+                (load_targets if kind == "targets" else load_matrix)(path)
+            except MlgibbsError:
+                pass
 
 
 class TestSynthesizeTargets:
@@ -439,6 +514,24 @@ class TestRunExperiment:
         rep = run_experiment(ExperimentConfig(**ZERO_ALLOCATION, allocation=allocation), X=X)
         assert all(f.error.startswith("EstimatorError") for f in rep.folds)
 
+    def test_report_json_writes_paths_and_numpy_scalars(self, tmp_path):
+        # each is a value validate() accepts
+        data = tmp_path / "X.mtx"
+        save_matrix_market(data, small_experiment_matrix())
+        cfg = ExperimentConfig(sampler="gibbs", samples=30, burn_in=10, folds=2,
+                               data_path=data, seed=np.int64(3), cg_tol=np.float32(1e-8),
+                               preconditioned=np.bool_(False))
+        config = json.loads(run_experiment(cfg).to_json())["config"]
+        assert config["data_path"] == str(data)
+        assert (config["seed"], config["cg_tol"]) == (3, float(np.float32(1e-8)))
+        assert config["preconditioned"] is False
+
+    @pytest.mark.parametrize("n_targets", [59, 61])
+    def test_in_memory_targets_length_checked(self, n_targets):
+        cfg = ExperimentConfig(sampler="gibbs", samples=30, burn_in=10, folds=2)
+        with pytest.raises(ConfigError, match=f"targets length {n_targets} != n_rows 60"):
+            run_experiment(cfg, X=small_experiment_matrix(), y=np.ones(n_targets))
+
     def test_report_serialization(self):
         X = small_experiment_matrix()
         cfg = ExperimentConfig(sampler="gibbs", samples=60, burn_in=10,
@@ -652,9 +745,13 @@ class TestCli:
         assert "RMSE" in out
 
     @pytest.mark.parametrize("flag", ["--report", "--level-variance"])
-    def test_unwritable_output_exits_1(self, tmp_path, capsys, flag):
-        # a path in a missing directory is a typed error after the run, not a
-        # FileNotFoundError traceback
+    def test_unwritable_output_exits_1(self, tmp_path, capsys, flag, monkeypatch):
+        # a path in a missing directory is a typed error before the run, not a
+        # FileNotFoundError traceback, and leaves no file behind
+        import mlgibbs.cli as cli_mod
+
+        runs = []
+        monkeypatch.setattr(cli_mod, "prepare_experiment", lambda *args: runs.append(args))
         data, out = self._write_data(tmp_path), tmp_path / "missing" / "out"
         code = main([
             "run", "--data", str(data), "--sampler", "ml", "--levels", "2",
@@ -663,6 +760,22 @@ class TestCli:
         ])
         assert code == 1
         assert f"error: cannot write {out}: " in capsys.readouterr().err
+        assert runs == []  # the experiment never started
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["X.mtx"]
+
+    def test_output_write_error_after_run(self, tmp_path, capsys):
+        # an output the directory check lets through, here a directory itself,
+        # fails at write time with the same typed error
+        data, out = self._write_data(tmp_path), tmp_path / "out"
+        out.mkdir()
+        code = main([
+            "run", "--data", str(data), "--sampler", "gibbs", "--samples", "30",
+            "--burnin", "10", "--folds", "2", "--report", str(out),
+        ])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "RMSE" in captured.out  # after the run
+        assert f"error: cannot write {out}: " in captured.err
 
     def test_level_variance_flag(self, tmp_path, capsys):
         data = self._write_data(tmp_path)
