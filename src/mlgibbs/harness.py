@@ -55,6 +55,12 @@ def load_matrix(path, fmt=None):
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+# Largest row or column count a MatrixMarket size line may declare. The
+# matrix's row and column offsets, 8 bytes per row and per column, are
+# sized from the size line alone, before any entry is read; this is also
+# the largest count scipy's 32-bit sparse indices hold.
+MAX_DIM = 2**31 - 1
+
 _MM_ENTRY = np.dtype([("row", np.int64), ("col", np.int64), ("value", np.float64)])
 
 
@@ -92,6 +98,8 @@ def _load_matrix_market(path):
         sizes = (n_rows, n_cols, expected)
         if min(sizes) < 0 or max(*sizes, n_rows * n_cols) >= 2**63:
             raise ParseError(f"size line {line!r} is negative or past int64", lineno)
+        if max(n_rows, n_cols) > MAX_DIM:
+            raise ParseError(f"size line {line!r} has a side past {MAX_DIM}", lineno)
         dims = (n_rows, n_cols)
         break
     if dims is None:

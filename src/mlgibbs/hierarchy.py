@@ -134,23 +134,32 @@ def _leader_follower_pass(pairs, threshold):
         assignment = np.cumsum(opens) - 1
         assignment[nonzero] = assignment[first]
         return assignment, int(opens.sum())
-    keep = dist.data <= threshold
-    ptr = np.concatenate(([0], np.cumsum(keep)))[dist.indptr].tolist()
-    near = dist.indices[keep].tolist()
+    kept = np.flatnonzero(dist.data <= threshold)
+    # row j of the kept table is near[ptr[j] : ptr[j + 1]]
+    ptr = np.searchsorted(kept, dist.indptr)
+    near = dist.indices[kept]
     n_cols = len(ptr) - 1
+    # first[j] is column j's lowest-index near column, -1 if it has none
+    first = np.where(ptr[1:] > ptr[:-1], np.append(near, -1)[ptr[:-1]], -1)
+    ptr = ptr.tolist()
     # leader_of[i] is the cluster column i leads, -1 for a follower; a zero
-    # column is near no column, so it leads a singleton cluster
-    leader_of = [-1] * n_cols
+    # column is near no column, so it leads a singleton cluster. The extra
+    # last slot stays -1 and answers first[j] == -1.
+    leader_of = [-1] * (n_cols + 1)
     assignment = [0] * n_cols
     n_clusters = 0
-    for j in range(n_cols):
-        for i in near[ptr[j] : ptr[j + 1]]:
-            c = leader_of[i]
-            if c >= 0:
-                break
-        else:
-            c = leader_of[j] = n_clusters
-            n_clusters += 1
+    for j, i in enumerate(first.tolist()):
+        c = leader_of[i]
+        if c < 0:
+            # no near column, or the first one follows: scan the rest of
+            # the row for a leader
+            for i in near[ptr[j] + 1 : ptr[j + 1]].tolist():
+                c = leader_of[i]
+                if c >= 0:
+                    break
+            else:
+                c = leader_of[j] = n_clusters
+                n_clusters += 1
         assignment[j] = c
     return np.array(assignment, dtype=np.int64), n_clusters
 

@@ -224,6 +224,22 @@ class TestLoadMatrix:
             load_matrix(p)
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("size", [
+        "3000000000 3000000000 0",  # 24 GB of row offsets
+        "0 9223372036854775807 0",  # in int64, past scipy's largest dimension
+    ])
+    def test_size_line_past_max_dim(self, tmp_path, monkeypatch, size):
+        def fail(*args):
+            raise AssertionError("the matrix was assembled")
+
+        # a header that passed the check would allocate its offsets here
+        monkeypatch.setattr(harness, "_from_arrays", fail)
+        p = tmp_path / "s.mtx"
+        p.write_text(f"%%MatrixMarket matrix coordinate real general\n{size}\n")
+        with pytest.raises(ParseError, match="side past 2147483647") as exc:
+            load_matrix(p)
+        assert exc.value.line == 2
+
     @settings(max_examples=500, deadline=None)
     @given(corrupted_input())
     def test_corrupted_input_loads_or_raises_typed(self, corrupted):

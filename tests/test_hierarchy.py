@@ -87,6 +87,13 @@ class TestLeaderFollower:
         # contiguous cluster ids
         assert set(a.tolist()) == set(range(int(a.max()) + 1))
 
+    def test_first_near_column_follows(self):
+        # at 0.55: column 1 joins its first near column 0; column 2 is near
+        # only the follower 1, so it leads; column 3's first near column is
+        # the follower 1, so it reads on and joins the leader 2
+        X = from_dense([[1, 1, 0, 0.2], [0, 1, 1, 1], [0, 0, 1, 1]])
+        assert leader_follower(X, 0.55).tolist() == [0, 0, 1, 1]
+
 
 @settings(max_examples=80, deadline=None)
 @given(

@@ -1,4 +1,5 @@
-"""Pinned outputs of every sampler entry point for fixed seeds.
+"""Pinned outputs of every sampler entry point and of the hierarchy build,
+for fixed seeds.
 
 Each array is summarised by its squared norm and its index-weighted sum.
 The figures are fixed for these seeds, so a change to the RNG call order
@@ -19,6 +20,7 @@ from mlgibbs import (
     run_chain,
     run_ml_cs,
     run_ml_gibbs,
+    row_subset,
 )
 from mlgibbs.harness import level_variance_report
 from mlgibbs.multilevel import estimate_level_variances
@@ -45,6 +47,23 @@ def problem():
     h = build_hierarchy(X, 6, (5, 15), 3)
     assert h.widths() == [12, 23, 72]
     return X, y, spec, h
+
+
+@pytest.mark.parametrize("n_fixed, widths, boundaries, assignments", [
+    (0, [202, 684, 2000], [0, 0, 0],
+     [(9749201.0, 32270473.0), (312559343.0, 912970561.0)]),
+    # a boundary inside a group of near-collinear columns
+    (37, [203, 686, 2000], [2, 10, 37],
+     [(9891133.0, 32647332.0), (315296216.0, 916971350.0)]),
+])
+def test_build_hierarchy(n_fixed, widths, boundaries, assignments):
+    # the benchmarks' fold shape: 333 rows of the acceptance matrix, where
+    # most columns of a leader-follower pass join their first near column
+    X = cluster_sparse(np.random.default_rng(0), 500, 100, 20, 5, amp=10)
+    h = build_hierarchy(row_subset(X, np.arange(333)), n_fixed, (150, 350), 3)
+    assert h.widths() == widths
+    assert h.group_boundaries == boundaries
+    assert [summary(P.assignment) for P in h.prolongators] == assignments
 
 
 def test_run_chain(problem):
