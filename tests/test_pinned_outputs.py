@@ -17,10 +17,10 @@ from mlgibbs import (
     SolverConfig,
     build_hierarchy,
     make_schedule,
+    row_subset,
     run_chain,
     run_ml_cs,
     run_ml_gibbs,
-    row_subset,
 )
 from mlgibbs.harness import level_variance_report
 from mlgibbs.multilevel import estimate_level_variances
