@@ -46,7 +46,6 @@ from .rng import RandomStream
 from .solvers import (
     SolveReport,
     SolverConfig,
-    TwoLevelPreconditioner,
     build_two_level,
     cg_solve,
     precond_apply,

@@ -34,24 +34,28 @@ def _add_run_args(p):
     # Each flag's dest is an ExperimentConfig field and defaults to None, so
     # that only the flags given override --config or the config defaults.
     p.add_argument("--data", dest="data_path", help="matrix path (.mtx or .csv)")
-    p.add_argument("--format", dest="data_format", choices=MATRIX_FORMATS)
+    p.add_argument("--format", dest="data_format", choices=MATRIX_FORMATS,
+                   help="matrix format (default: by the file extension)")
     p.add_argument("--targets", dest="targets_path", help="CSV of real observations y")
     p.add_argument("--config", help="JSON config file (same keys)")
-    p.add_argument("--sampler", choices=SAMPLER_KINDS)
-    p.add_argument("--precond", dest="preconditioned", action="store_true", default=None)
+    p.add_argument("--sampler", choices=SAMPLER_KINDS,
+                   help="gibbs (one level), ml (pooled), mlcss or mlcsp (telescoping)")
+    p.add_argument("--precond", dest="preconditioned", action="store_true", default=None,
+                   help="precondition each CG solve by the level hierarchy")
     p.add_argument("--fixed", dest="n_fixed", type=int, help="number of fixed-effect columns")
-    p.add_argument("--levels", type=int)
+    p.add_argument("--levels", type=int, help="number of hierarchy levels")
     p.add_argument("--coarse-range", type=_int_pair, help="min,max coarsest width")
-    p.add_argument("--samples", type=int)
-    p.add_argument("--burnin", dest="burn_in", type=int)
-    p.add_argument("--schedule")
-    p.add_argument("--alloc", dest="allocation", choices=ALLOCATIONS)
-    p.add_argument("--folds", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cg-tol", type=float)
-    p.add_argument("--cg-max-iter", type=int)
-    p.add_argument("--coef-variance", type=float)
-    p.add_argument("--noise-variance", type=float)
+    p.add_argument("--samples", type=int, help="draws per fold, burn-in included")
+    p.add_argument("--burnin", dest="burn_in", type=int, help="discarded draws per fold")
+    p.add_argument("--schedule", help="level visits: consecutive, vcycle:k or wcycle:k")
+    p.add_argument("--alloc", dest="allocation", choices=ALLOCATIONS,
+                   help="draws per level: equal, by cost, or by pilot variance")
+    p.add_argument("--folds", type=int, help="cross-validation folds")
+    p.add_argument("--seed", type=int, help="random seed")
+    p.add_argument("--cg-tol", type=float, help="CG relative residual tolerance")
+    p.add_argument("--cg-max-iter", type=int, help="CG iteration cap per solve")
+    p.add_argument("--coef-variance", type=float, help="synthetic coefficients' variance")
+    p.add_argument("--noise-variance", type=float, help="synthetic targets' noise variance")
     p.add_argument("--report", help="write JSON report here")
     p.add_argument("--level-variance", help="also emit the per-level variance "
                    "diagnostics CSV (ml samplers)")

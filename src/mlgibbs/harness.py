@@ -2,6 +2,7 @@
 experiment orchestration."""
 
 import json
+import logging
 import math
 import numbers
 import os
@@ -36,6 +37,7 @@ from .sparse import _from_arrays, from_dense, row_subset, spmv
 SAMPLER_KINDS = ("gibbs", "ml", "mlcss", "mlcsp")
 ALLOCATIONS = ("equal", "cost", "var")
 COUPLINGS = dict(zip(("mlcss", "mlcsp"), COUPLING_KINDS))
+log = logging.getLogger("mlgibbs")
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +507,9 @@ def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
         acc = pooled(*args, preconditioned=config.preconditioned)
     pred = finalize_estimate(acc, hierarchy, X_test)
     exec_time = time.perf_counter() - t1
+    if acc.cg_unconverged.any():
+        log.warning("fold %d: CG stopped unconverged at max_iter in %s", fold_id, ", ".join(
+            f"{n} solves at level {l}" for l, n in enumerate(acc.cg_unconverged) if n))
     rho, rmse, mae = metrics(pred, truth)
     return FoldMetrics(
         fold=fold_id,
@@ -532,6 +537,11 @@ def prepare_experiment(config, X=None, y=None, truth_coef=None):
         X = load_matrix(config.data_path, config.data_format)
     if config.n_fixed > X.n_cols:
         raise ConfigError(f"n_fixed={config.n_fixed} exceeds the {X.n_cols} columns")
+    # metrics scores a test fold of two rows or more, and the smallest has
+    # n_rows // folds
+    if X.n_rows < 2 * config.folds:
+        raise ConfigError(f"{X.n_rows} rows leave a test fold under 2 rows at "
+                          f"folds={config.folds}")
     streams = RandomStream(config.seed).split(2 + config.folds)
     if y is None:
         if config.targets_path:

@@ -19,7 +19,7 @@ from .gibbs import (
     sample_hyperparams,
     solve_noise_system,
 )
-from .solvers import SolverConfig, build_two_level, exact_solve
+from .solvers import SolverConfig, exact_solve, preconditioner
 from .sparse import spmv
 
 # how a telescoping chain couples level l to level l-1: a second solve, or
@@ -210,18 +210,14 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
     draw's tau, lam_v, lam_u and e1 and with e2 restricted;
     coupling="projection" takes b_{l-1} = P_l^T b_l without a second
     solve. Preconditioned, each draw forms exact_solve's solve of a level
-    on first use, once. A level below the finest that has one takes it as
-    its preconditioner; any other level, the finest always, takes
-    build_two_level's cycle, which corrects at the nearest level below it
-    that has one (level L-1 within the cap), or runs plain CG when no
-    level below it has one, as on a one-level hierarchy.
+    on first use, once, and solvers.preconditioner picks each solve's
+    preconditioner from them.
     """
     if any(c not in COUPLING_KINDS for c in couplings):
         raise ConfigError(f"unknown coupling in {couplings!r}")
     config = config or SolverConfig()
     specs = [spec.at_width(gb, m.n_cols - gb)
              for m, gb in zip(hierarchy.matrices, hierarchy.group_boundaries)]
-    L = hierarchy.n_levels - 1
     state = None
 
     def exact_at(level):
@@ -231,13 +227,7 @@ def run_levels(hierarchy, y, spec, plan, config, stream, on_kept, acc, precondit
 
     def solve(level, lam, e1, e2, x0):
         # one noise-injection solve at `level` with the draw's exact solves
-        M, c = None, level
-        if preconditioned:
-            M = exact(level) if level < L else None
-            while M is None and c:
-                c -= 1
-                if (C := exact(c)) is not None:
-                    M = build_two_level(hierarchy, level, lam / state.tau, C, c)
+        M = preconditioner(hierarchy, level, lam / state.tau, exact) if preconditioned else None
         b, report = solve_noise_system(
             hierarchy.matrices[level], y, state.tau, lam, e1, e2, config, precond=M, x0=x0
         )

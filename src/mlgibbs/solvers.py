@@ -8,12 +8,12 @@ exact solve is the whole preconditioner of its level, so flexible CG
 converges there in one iteration. exact_solve makes it on any level
 whose basis dimension min(rows, width) is within BASIS_CAP, in the
 level's eigenbasis, with a Woodbury correction when the fixed block's
-shift differs from the random block's. A two-level cycle takes its coarse
-correction from an exact solve of a level below its own, its coarse_level.
+shift differs from the random block's. A two-level cycle r -> z corrects
+at an exact solve of a level below its own; preconditioner picks either.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -120,22 +120,6 @@ def _cg(apply_A, x, r, stop, max_iter, precond):
     return x, SolveReport(it, res, False)
 
 
-@dataclass
-class TwoLevelPreconditioner:
-    """CG smoothing at `level` plus an exact correction at coarse_level,
-    a level below it: the residual goes down to coarse_level, and
-    coarse_solve's solution comes back up."""
-
-    apply_fine: object  # action of the fine-level Gram operator
-    hierarchy: object = field(repr=False)
-    level: int  # the level >= 1 whose Gram system it preconditions
-    coarse_solve: object = field(repr=False)  # the exact solve of coarse_level
-    coarse_level: int
-
-    def __call__(self, r):
-        return precond_apply(self, r)
-
-
 def exact_solve(hierarchy, level, shift):
     """The exact solve r -> (X_l^T X_l + diag(shift))^-1 r of `level` in
     hierarchy.basis(level), or None. S, the solve at the random block's
@@ -185,27 +169,39 @@ def exact_solve(hierarchy, level, shift):
 
 
 def build_two_level(hierarchy, level, shift_diag, coarse_solve, coarse_level):
-    """Two-level preconditioner for the Gram system at `level` >= 1: CG
+    """The two-level cycle r -> z for the Gram system at `level` >= 1: CG
     pre-smoothing plus an exact correction at coarse_level < level by
     coarse_solve, exact_solve's solve of that level."""
     if not 1 <= level < hierarchy.n_levels:
         raise SetupError(f"no coarse space for level {level}")
-    X_l = hierarchy.matrices[level]
-    return TwoLevelPreconditioner(
-        apply_fine=partial(gram_apply, X_l, np.asarray(shift_diag, dtype=np.float64)),
-        hierarchy=hierarchy,
-        level=level,
-        coarse_solve=coarse_solve,
-        coarse_level=coarse_level,
-    )
+    apply_fine = partial(gram_apply, hierarchy.matrices[level],
+                         np.asarray(shift_diag, dtype=np.float64))
+
+    def correct(resid):
+        resid = hierarchy.transfer(resid, level, coarse_level)
+        return hierarchy.transfer(coarse_solve(resid), coarse_level, level)
+
+    return partial(precond_apply, apply_fine, correct)
 
 
-def precond_apply(M, r):
-    """Smooth by SMOOTH_STEPS plain CG steps from zero, then add the exact
-    correction of the smoothed residual at M.coarse_level, prolongated."""
+def precond_apply(apply_fine, correct, r):
+    """Smooth by SMOOTH_STEPS plain CG steps of apply_fine from zero, then
+    add correct's correction of the smoothed residual."""
     # a non-finite r raises NumericalError in the smoother, which updates
     # its copy of r in place to the smoothed residual
     resid = r.copy()
-    z, _ = _cg(M.apply_fine, np.zeros(r.size), resid, 0.0, SMOOTH_STEPS, None)
-    resid = M.hierarchy.transfer(resid, M.level, M.coarse_level)
-    return z + M.hierarchy.transfer(M.coarse_solve(resid), M.coarse_level, M.level)
+    z, _ = _cg(apply_fine, np.zeros(r.size), resid, 0.0, SMOOTH_STEPS, None)
+    return z + correct(resid)
+
+
+def preconditioner(hierarchy, level, shift, exact):
+    """CG's preconditioner at `level` and Gram shift `shift`, given exact(c),
+    the exact solve of level c or None. A level below the finest takes its
+    own; otherwise build_two_level's cycle, corrected at the nearest level
+    below that has one; otherwise None (plain CG)."""
+    if level < hierarchy.n_levels - 1 and (M := exact(level)) is not None:
+        return M
+    for c in reversed(range(level)):
+        if (C := exact(c)) is not None:
+            return build_two_level(hierarchy, level, shift, C, c)
+    return None

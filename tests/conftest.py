@@ -40,6 +40,22 @@ def cluster_sparse(rng, n_rows, n_clusters, per_cluster, nnz_per_col,
 
 
 @pytest.fixture
+def two_level_levels(monkeypatch):
+    """(level, coarse_level) of each cycle build_two_level builds, in call
+    order."""
+    from mlgibbs import solvers
+
+    levels, real = [], solvers.build_two_level
+
+    def counting(hierarchy, level, shift, coarse_solve, coarse_level):
+        levels.append((level, coarse_level))
+        return real(hierarchy, level, shift, coarse_solve, coarse_level)
+
+    monkeypatch.setattr(solvers, "build_two_level", counting)
+    return levels
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(7)
 

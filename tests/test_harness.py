@@ -1,6 +1,8 @@
 """Ingestion, cross-validation, metrics, experiment orchestration and CLI."""
 
+import argparse
 import json
+import logging
 import os
 import re
 import tempfile
@@ -23,7 +25,7 @@ from mlgibbs import (
     spmv,
 )
 from mlgibbs import harness
-from mlgibbs.cli import main
+from mlgibbs.cli import _add_run_args, main
 from mlgibbs.gibbs import PRIOR_FIELDS
 from mlgibbs.harness import (
     ExperimentConfig,
@@ -542,6 +544,20 @@ class TestRunExperiment:
         assert (config["seed"], config["cg_tol"]) == (3, float(np.float32(1e-8)))
         assert config["preconditioned"] is False
 
+    @pytest.mark.parametrize("n_rows", [6, 11])
+    def test_folds_too_small_fail_before_any_chain(self, monkeypatch, n_rows):
+        # 6 folds of 6 or 11 rows leave a 1-row test fold, which metrics
+        # cannot score: the config error comes before any fold runs
+        calls = []
+        monkeypatch.setattr(harness, "run_fold", lambda *args: calls.append(args))
+        X = from_dense(np.random.default_rng(0).standard_normal((n_rows, 4)))
+        cfg = ExperimentConfig(sampler="gibbs", samples=30, burn_in=10, folds=6, seed=0)
+        with pytest.raises(ConfigError, match="test fold under 2 rows"):
+            run_experiment(cfg, X=X)
+        assert calls == []
+        # 12 rows give every fold two test rows
+        harness.prepare_experiment(cfg, X=from_dense(np.ones((12, 4))))
+
     @pytest.mark.parametrize("n_targets", [59, 61])
     def test_in_memory_targets_length_checked(self, n_targets):
         cfg = ExperimentConfig(sampler="gibbs", samples=30, burn_in=10, folds=2)
@@ -574,6 +590,21 @@ class TestRunExperiment:
         rep = run_experiment(ExperimentConfig(sampler="ml", **base), X=X)
         assert [f.cg_unconverged for f in rep.folds] == [[0, 0], [0, 0]]
         assert json.loads(rep.to_json())["cg_unconverged"] == 0
+
+    def test_unconverged_solves_logged(self, caplog):
+        # one warning per fold, naming the levels and their unconverged solves
+        X = small_experiment_matrix()
+        base = dict(sampler="ml", samples=60, burn_in=10, folds=2, seed=0, levels=2,
+                    coarse_range=(6, 20))
+        with caplog.at_level(logging.WARNING, logger="mlgibbs"):
+            run_experiment(ExperimentConfig(cg_max_iter=1, **base), X=X)
+            assert [r.getMessage() for r in caplog.records] == [
+                f"fold {i}: CG stopped unconverged at max_iter in 35 solves at level 0, "
+                "25 solves at level 1" for i in range(2)]
+            assert {(r.name, r.levelno) for r in caplog.records} == {("mlgibbs", logging.WARNING)}
+            caplog.clear()
+            run_experiment(ExperimentConfig(**base), X=X)
+            assert caplog.records == []
 
     @pytest.mark.parametrize("kw", [
         dict(sampler="gibbs"), dict(sampler="ml"), dict(sampler="ml", preconditioned=True),
@@ -744,6 +775,11 @@ class TestCli:
         p = tmp_path / "X.mtx"
         save_matrix_market(p, X)
         return p
+
+    def test_every_run_flag_has_help(self):
+        parser = argparse.ArgumentParser()
+        _add_run_args(parser)
+        assert [a.option_strings for a in parser._actions if not a.help] == []
 
     def test_run_smoke(self, tmp_path, capsys):
         data = self._write_data(tmp_path)

@@ -419,22 +419,6 @@ class TestPreconditionedChain:
         # and formed again for the fresh hierarchy
         assert calls == [(min(X.shape),) * 2 for X in h.matrices[:-1]] * 2
 
-    @pytest.fixture()
-    def two_level_levels(self, monkeypatch):
-        """(level, coarse_level) of each cycle build_two_level builds, in
-        call order."""
-        from mlgibbs import multilevel
-
-        levels, real = [], multilevel.build_two_level
-
-        def counting(*args):
-            M = real(*args)
-            levels.append((M.level, M.coarse_level))
-            return M
-
-        monkeypatch.setattr(multilevel, "build_two_level", counting)
-        return levels
-
     @pytest.mark.parametrize("problem, sampler", [
         ("one_block", run_ml_gibbs),
         ("one_block", partial(run_ml_cs, coupling="solves")),

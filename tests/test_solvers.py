@@ -19,7 +19,6 @@ from mlgibbs import (
     from_dense,
     gram_apply,
     make_schedule,
-    precond_apply,
     prolong,
     restrict,
     run_ml_cs,
@@ -203,14 +202,15 @@ class TestTwoLevelPreconditioner:
     def test_zero_residual(self, rng):
         X = cluster_sparse(rng, 20, 4, 3, 5)
         M = two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
-        assert np.allclose(precond_apply(M, np.zeros(X.n_cols)), 0.0)
+        assert np.allclose(M(np.zeros(X.n_cols)), 0.0)
 
-    def test_smoother_breakdown_raises(self, rng):
+    def test_smoother_breakdown_raises(self, rng, monkeypatch):
         X = cluster_sparse(rng, 20, 4, 3, 5)
+        # an indefinite fine operator: the smoother's first p.Ap is negative
+        monkeypatch.setattr(solvers, "gram_apply", lambda A, shift, v: -v)
         M = two_level(identity_hierarchy(X), 1, np.ones(X.n_cols))
-        M.apply_fine = lambda v: -v  # indefinite: the first p.Ap is negative
         with pytest.raises(NumericalError):
-            precond_apply(M, np.ones(X.n_cols))
+            M(np.ones(X.n_cols))
 
     def test_identity_prolongator_exact(self, rng):
         X = cluster_sparse(rng, 25, 5, 3, 6)
@@ -268,6 +268,53 @@ class TestTwoLevelPreconditioner:
         scale = np.linalg.norm(ref)
         assert np.linalg.norm(x_plain - ref) <= 1e-5 * scale
         assert np.linalg.norm(x_pre - ref) <= 1e-5 * scale
+
+
+class TestPreconditioner:
+    """solvers.preconditioner, the rule that picks each solve's
+    preconditioner from a draw's exact solves."""
+
+    @pytest.fixture()
+    def levels(self):
+        # widths 12 / 23 / 72 on 60 rows
+        X = cluster_sparse(np.random.default_rng(11), 60, 12, 6, 6)
+        return build_hierarchy(X, 0, (5, 15), 3)
+
+    @staticmethod
+    def exact(h):
+        return lambda c: solvers.exact_solve(h, c, np.full(h.widths()[c], 0.5))
+
+    def test_below_the_finest_takes_its_own_exact_solve(self, levels, two_level_levels):
+        solves = {c: (lambda r: r) for c in range(levels.n_levels)}
+        for level in range(levels.n_levels - 1):
+            shift = np.full(levels.widths()[level], 0.5)
+            assert solvers.preconditioner(levels, level, shift, solves.get) is solves[level]
+        assert two_level_levels == []
+
+    def test_finest_takes_the_cycle_at_the_level_below(self, levels, two_level_levels, rng):
+        L = levels.n_levels - 1
+        shift, exact = np.full(levels.widths()[L], 0.5), self.exact(levels)
+        M = solvers.preconditioner(levels, L, shift, exact)
+        assert two_level_levels == [(L, L - 1)]
+        r = rng.standard_normal(levels.widths()[L])
+        want = solvers.build_two_level(levels, L, shift, exact(L - 1), L - 1)(r)
+        assert np.array_equal(M(r), want)
+
+    def test_past_the_cap_falls_back_to_level_zero(self, levels, two_level_levels, monkeypatch):
+        # level 1's basis dimension (23) is past the cap, level 0's (12) is not
+        monkeypatch.setattr(solvers, "BASIS_CAP", 22)
+        exact = self.exact(levels)
+        assert exact(1) is None and exact(0) is not None
+        for level in (1, 2):
+            shift = np.full(levels.widths()[level], 0.5)
+            assert solvers.preconditioner(levels, level, shift, exact) is not None
+        assert two_level_levels == [(1, 0), (2, 0)]
+
+    def test_no_exact_solve_is_plain_cg(self, levels, two_level_levels):
+        for level in range(levels.n_levels):
+            shift = np.full(levels.widths()[level], 0.5)
+            assert solvers.preconditioner(levels, level, shift, lambda c: None) is None
+        assert two_level_levels == []
 
 
 def clustered_levels(rng):
@@ -410,6 +457,25 @@ class TestExactSolve:
         got = solvers.exact_solve(h, 1, shift)(r)
         assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("f", [1, 6, 40])
+    @pytest.mark.parametrize("dual", [False, True], ids=["primal", "dual"])
+    def test_two_block_backward_error(self, rng, dual, f):
+        # the normwise backward error ||Ax - r|| / (||A|| ||x|| + ||r||) of the
+        # Woodbury solve, with the two shifts 1 and 10 to 1e11 apart either
+        # way; np.linalg.solve's stays under 1e-16 here. With the random
+        # block's shift at 1e-3 instead, the dual level's reached 7e-14
+        h = fixed_block_levels(dual, f)
+        D = h.finest.to_dense()
+        for ratio in 10.0 ** np.arange(1, 12):
+            for s_v, s in ((1.0, ratio), (ratio, 1.0)):
+                shift = block_shift(h, 1, s_v, s)
+                A = D.T @ D + np.diag(shift)
+                r = rng.standard_normal(D.shape[1])
+                x = solvers.exact_solve(h, 1, shift)(r)
+                err = np.linalg.norm(A @ x - r) / (
+                    np.linalg.norm(A, 2) * np.linalg.norm(x) + np.linalg.norm(r))
+                assert err <= 1e-14, (ratio, s_v, s, err)
+
     def test_two_block_none_past_the_cap_or_apart_or_off_block(self, monkeypatch):
         h = fixed_block_levels(True, 40)
         shift = block_shift(h, 1, 0.05, 3.0)
@@ -449,7 +515,7 @@ def test_two_level_corrects_at_an_exact_level(rng, make, dual):
     r = rng.standard_normal(X.n_cols)
     z, resid = reference_cg_smooth(reference_gram(X, shift), r, solvers.SMOOTH_STEPS)
     want = z + P @ np.linalg.solve(A_c, P.T @ resid)
-    got = precond_apply(M, r)
+    got = M(r)
     assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -583,9 +649,10 @@ class TestBitIdentity:
         ref_precond, factor = reference_two_level(h, level, shift)
         # the cycle shares the coarse solve it is given: with the reference's,
         # it and flexible CG give the reference's bits
-        coarse_solve = lambda v: cho_solve(factor, v)
+        coarse_calls = []
+        coarse_solve = lambda v: coarse_calls.append(v) or cho_solve(factor, v)
         M = build_two_level(h, level, shift, coarse_solve, 0)
-        assert M.coarse_solve is coarse_solve
         want = reference_cg(reference_gram(X, shift), b, b, 1e-10, max_iter, ref_precond)
         got = cg_solve(lambda v: gram_apply(X, shift, v), b, b, 1e-10, max_iter, M)
+        assert coarse_calls
         assert_same_solve(got, want)
