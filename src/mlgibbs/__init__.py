@@ -34,7 +34,6 @@ from .hierarchy import (
 )
 from .multilevel import (
     EstimatorAccumulator,
-    SampleSchedule,
     allocate_cost,
     allocate_variance,
     finalize_estimate,

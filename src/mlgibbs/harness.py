@@ -27,7 +27,7 @@ from .multilevel import (
     run_ml_cs,
     run_ml_gibbs,
     run_pooled,
-    SampleSchedule,
+    visit_plan,
 )
 from .rng import RandomStream
 from .solvers import SolverConfig
@@ -451,7 +451,7 @@ class MetricsReport:
 
 
 def _fold_schedule(config, hierarchy, y, spec, solver_cfg, stream):
-    """The fold's level schedule. A one-level hierarchy takes all its
+    """The fold's visit plan. A one-level hierarchy takes all its
     draws consecutively at its one level, whatever the schedule and
     allocation settings; on more levels the variance allocation first runs
     a pilot chain per level."""
@@ -470,8 +470,7 @@ def _fold_schedule(config, hierarchy, y, spec, solver_cfg, stream):
             hierarchy, y, spec, solver_cfg, stream, pilot=config.pilot
         )
         totals = allocate_variance(C, s2, H_post)
-    visits = [(l, h) for l, h in enumerate(totals) if h > 0]
-    return SampleSchedule(visits, hierarchy.n_levels, config.burn_in)
+    return visit_plan(config.burn_in, enumerate(totals))
 
 
 def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
@@ -495,8 +494,8 @@ def run_fold(X, y, truth_coef, config, spec, fold_id, train, test, stream):
     setup_time = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    schedule = _fold_schedule(config, hierarchy, y_train, spec, solver_cfg, stream)
-    args = (hierarchy, y_train, spec, schedule, solver_cfg, stream)
+    plan = _fold_schedule(config, hierarchy, y_train, spec, solver_cfg, stream)
+    args = (hierarchy, y_train, spec, plan, solver_cfg, stream)
     if config.sampler in COUPLINGS:
         coupling = COUPLINGS[config.sampler]
         acc = run_ml_cs(*args, coupling=coupling, preconditioned=config.preconditioned)

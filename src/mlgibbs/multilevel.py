@@ -4,7 +4,7 @@ and per-level sample allocation."""
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
@@ -25,25 +25,6 @@ from .sparse import spmv
 # how a telescoping chain couples level l to level l-1: a second solve, or
 # the projection of the level-l draw
 COUPLING_KINDS = ("solves", "projection")
-
-
-@dataclass
-class SampleSchedule:
-    """Ordered level visits (post burn-in) over n_levels levels; totals
-    holds the per-level totals H_l that the visits add up to.
-
-    Burn-in is always taken at the coarsest level before the visits.
-    """
-
-    visits: list  # [(level, chunk_size), ...]
-    n_levels: int
-    burn_in: int
-    totals: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.totals = np.zeros(self.n_levels, dtype=np.int64)
-        for lvl, chunk in self.visits:
-            self.totals[lvl] += chunk
 
 
 @dataclass
@@ -94,8 +75,16 @@ def parse_schedule(kind):
     return name, k
 
 
+def visit_plan(burn_in, visits):
+    """The (level, count, keep) entries run_levels follows: the burn-in at
+    the coarsest level, then one kept entry per (level, count) visit, with
+    zero counts left out."""
+    plan = [(0, burn_in, False)] + [(lvl, cnt, True) for lvl, cnt in visits]
+    return [entry for entry in plan if entry[1] > 0]
+
+
 def make_schedule(kind, levels, H_total, burn_in):
-    """Build the level visit schedule.
+    """The visit plan of a level schedule.
 
     kind: "consecutive", "vcycle:k" or "wcycle:k". Consecutive splits the
     post-burn-in budget equally over levels in ascending order (remainder
@@ -112,7 +101,7 @@ def make_schedule(kind, levels, H_total, burn_in):
     L = levels - 1
     if name == "consecutive":
         base, rem = divmod(H_post, levels)
-        visits = [(l, h) for l in range(levels) if (h := base + (l < rem)) > 0]
+        visits = [(l, base + (l < rem)) for l in range(levels)]
     else:
         if k < 10:
             warnings.warn(
@@ -127,7 +116,7 @@ def make_schedule(kind, levels, H_total, burn_in):
             (cycle[i % len(cycle)], min(k, H_post - start))
             for i, start in enumerate(range(0, H_post, k))
         ]
-    return SampleSchedule(visits, levels, burn_in)
+    return visit_plan(burn_in, visits)
 
 
 def _w_order(l):
@@ -173,13 +162,6 @@ def allocate_variance(C, s2, H_total):
     return _floor_shares(
         [_sqrt_fraction(Fraction(s) / Fraction(c)) for s, c in zip(s2, C)], H_total
     )
-
-
-def _visit_plan(schedule):
-    """(level, count, keep) entries: the burn-in at the coarsest level, then
-    one kept entry per visit."""
-    plan = [(0, schedule.burn_in, False)] + [(lvl, cnt, True) for lvl, cnt in schedule.visits]
-    return [entry for entry in plan if entry[1] > 0]
 
 
 def _new_accumulator(hierarchy, mode="pooled"):
@@ -300,28 +282,28 @@ def probe_levels(hierarchy, y, spec, config, stream, X_probe, n_draws, burn, cou
     return out
 
 
-def run_pooled(hierarchy, y, spec, schedule, config, stream, preconditioned=False, trace=False):
-    """Pooled chain: one Markov chain that visits levels per the schedule,
+def run_pooled(hierarchy, y, spec, plan, config, stream, preconditioned=False, trace=False):
+    """Pooled chain: one Markov chain that visits levels per the plan,
     interpolating/restricting b across level changes and pooling all kept
     samples into per-level sums. With trace, acc.trace lists the
     (tau, lam_v, lam_u) of every draw, discarded ones included."""
-    acc, plan = _new_accumulator(hierarchy, "pooled"), _visit_plan(schedule)
+    acc = _new_accumulator(hierarchy, "pooled")
     acc.trace = [] if trace else None
     hook = lambda lvl, b, diffs: acc.add(lvl, b)
     return run_levels(hierarchy, y, spec, plan, config, stream, hook, acc, preconditioned)
 
 
-def run_ml_gibbs(hierarchy, y, spec, schedule, config, stream, preconditioned=False):
+def run_ml_gibbs(hierarchy, y, spec, plan, config, stream, preconditioned=False):
     """Pooled multilevel chain: run_pooled under the name of the `ml`
     sampler, which the one-level `gibbs` sampler does not run under."""
-    return run_pooled(hierarchy, y, spec, schedule, config, stream, preconditioned)
+    return run_pooled(hierarchy, y, spec, plan, config, stream, preconditioned)
 
 
 def run_ml_cs(
     hierarchy,
     y,
     spec,
-    schedule,
+    plan,
     config,
     stream,
     coupling="solves",
@@ -332,7 +314,7 @@ def run_ml_cs(
     the coupled differences d_l that run_levels makes for `coupling`.
     Discarded draws make no coupled solve.
     """
-    acc, plan = _new_accumulator(hierarchy, "telescoping"), _visit_plan(schedule)
+    acc = _new_accumulator(hierarchy, "telescoping")
     hook = lambda lvl, b, diffs: acc.add(lvl, diffs.get(coupling, b))
     return run_levels(
         hierarchy, y, spec, plan, config, stream, hook, acc, preconditioned, (coupling,)

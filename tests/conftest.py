@@ -39,6 +39,14 @@ def cluster_sparse(rng, n_rows, n_clusters, per_cluster, nnz_per_col,
     return from_triplets(n_rows, f, entries)
 
 
+def level_totals(plan, n_levels):
+    """Per-level kept draws of a (level, count, keep) visit plan."""
+    totals = [0] * n_levels
+    for lvl, cnt, keep in plan:
+        totals[lvl] += cnt if keep else 0
+    return totals
+
+
 @pytest.fixture
 def two_level_levels(monkeypatch):
     """(level, coarse_level) of each cycle build_two_level builds, in call

@@ -13,7 +13,6 @@ from mlgibbs import (
     EstimatorError,
     MixedModelSpec,
     RandomStream,
-    SampleSchedule,
     SolverConfig,
     allocate_cost,
     allocate_variance,
@@ -28,9 +27,10 @@ from mlgibbs import (
     run_ml_gibbs,
     spmv,
 )
+from mlgibbs.harness import ExperimentConfig, _fold_schedule
 from mlgibbs.hierarchy import LevelHierarchy
-from mlgibbs.multilevel import EstimatorAccumulator, _w_order
-from conftest import cluster_sparse, random_sparse
+from mlgibbs.multilevel import EstimatorAccumulator, _w_order, visit_plan
+from conftest import cluster_sparse, level_totals, random_sparse
 
 
 def identity_hierarchy(X, levels=2):
@@ -45,21 +45,21 @@ def identity_hierarchy(X, levels=2):
 class TestMakeSchedule:
     def test_consecutive_equal_split(self):
         s = make_schedule("consecutive", 2, 10, 0)
-        assert s.visits == [(0, 5), (1, 5)]
+        assert s == [(0, 5, True), (1, 5, True)]
 
     def test_consecutive_remainder_to_coarsest(self):
         s = make_schedule("consecutive", 3, 11, 0)
-        assert list(s.totals) == [4, 4, 3]
+        assert level_totals(s, 3) == [4, 4, 3]
 
     def test_vcycle_table_rows(self):
         for kind in ("vcycle:10", "vcycle:100"):
             s = make_schedule(kind, 3, 2200, 200)
-            assert list(s.totals) == [500, 1000, 500]
-            assert s.burn_in == 200
+            assert level_totals(s, 3) == [500, 1000, 500]
+            assert s[0] == (0, 200, False)
 
     def test_vcycle_visit_order(self):
         s = make_schedule("vcycle:10", 3, 70, 0)
-        assert [lvl for lvl, _ in s.visits] == [0, 1, 2, 1, 0, 1, 2]
+        assert [lvl for lvl, _, _ in s] == [0, 1, 2, 1, 0, 1, 2]
 
     def test_wcycle_order(self):
         assert _w_order(2) == [0, 1, 2, 1, 0, 1]
@@ -68,31 +68,44 @@ class TestMakeSchedule:
 
     def test_wcycle_table_row(self):
         s = make_schedule("wcycle:10", 3, 2000, 0)
-        assert list(s.totals) == [670, 1000, 330]
+        assert level_totals(s, 3) == [670, 1000, 330]
 
     def test_schedule_conservation(self):
         for kind in ("consecutive", "vcycle:17", "wcycle:13"):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 s = make_schedule(kind, 4, 1234, 100)
-            assert sum(int(t) for t in s.totals) == 1234 - 100
-            per_level = [0] * 4
-            for lvl, cnt in s.visits:
-                per_level[lvl] += cnt
-            assert per_level == [int(t) for t in s.totals]
+            burn, *visits = s
+            assert burn == (0, 100, False)
+            assert all(keep and cnt > 0 for _, cnt, keep in visits)
+            assert sum(level_totals(s, 4)) == 1234 - 100
 
     def test_totals_sum_visits(self):
         # the last V-cycle is partial: it stops after a 5-draw chunk
         s = make_schedule("vcycle:10", 3, 75, 0)
-        assert s.visits[-2:] == [(2, 10), (1, 5)]
-        assert s.totals.tolist() == [20, 35, 20]
+        assert s[-2:] == [(2, 10, True), (1, 5, True)]
+        assert level_totals(s, 3) == [20, 35, 20]
         # fewer draws than levels leave the finest level at zero
         s = make_schedule("consecutive", 3, 2, 0)
-        assert s.visits == [(0, 1), (1, 1)]
-        assert s.totals.tolist() == [1, 1, 0]
-        s = SampleSchedule([(2, 5), (0, 3), (2, 4)], 4, burn_in=0)
-        assert s.totals.dtype == np.int64
-        assert s.totals.tolist() == [3, 0, 9, 0]
+        assert s == [(0, 1, True), (1, 1, True)]
+        assert level_totals(s, 3) == [1, 1, 0]
+
+    def test_visit_plan(self, rng):
+        # out-of-order visits keep their order; zero counts and a zero
+        # burn-in are left out
+        assert visit_plan(0, [(2, 5), (0, 3), (1, 0), (2, 4)]) == [
+            (2, 5, True), (0, 3, True), (2, 4, True)]
+        # a nonzero burn-in comes first, at the coarsest level
+        assert visit_plan(7, [(2, 5)]) == [(0, 7, False), (2, 5, True)]
+        # the cost allocation's plan has the same form: burn-in, then one
+        # kept entry per level with a nonzero share, in level order
+        h = build_hierarchy(cluster_sparse(rng, 40, 8, 5, 6), 0, (5, 15), 3)
+        cfg = ExperimentConfig(sampler="ml", levels=3, samples=130, burn_in=30,
+                               allocation="cost")
+        plan = _fold_schedule(cfg, h, None, None, None, None)
+        shares = allocate_cost([m.nnz() for m in h.matrices], 100)
+        assert plan == [(0, 30, False)] + [(l, n, True) for l, n in enumerate(shares) if n]
+        assert len(plan) > 2
 
     def test_small_chunk_warns(self):
         with pytest.warns(UserWarning, match="chunk size"):
@@ -291,7 +304,7 @@ class TestMultilevelRuns:
             h, y, MixedModelSpec(0, X.n_cols), schedule, SolverConfig(),
             RandomStream(1),
         )
-        assert np.array_equal(acc.counts, schedule.totals)
+        assert acc.counts.tolist() == level_totals(schedule, h.n_levels)
         assert acc.cg_solves.sum() == 60
 
     def test_vcycle_run_and_determinism(self, rng):

@@ -176,6 +176,9 @@ class TestCgSolve:
 
 
 class TestTwoLevelPreconditioner:
+    """The two-level cycle that `build_two_level` makes and `precond_apply`
+    runs: its set-up errors, its exact cases and its effect on CG."""
+
     def test_single_level_rejected(self, rng):
         X = cluster_sparse(rng, 20, 4, 3, 5)
         h = build_hierarchy(X, 0, (12, 12), 1)
